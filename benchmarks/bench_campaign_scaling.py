@@ -20,9 +20,7 @@ sensor types) two ways with the same worker count:
   ``ProcessPoolExecutor`` in sequence;
 * ``shared pool``       -- ``run_benchmark_suite`` on one persistent
   :class:`repro.mutation.CampaignScheduler`: the pool is created
-  once, each campaign's shards enter the shared queue as soon as that
-  campaign is prepared (prep overlaps execution), and small campaigns
-  backfill slots the big ones leave idle.
+  once and every campaign runs on it in turn.
 
 Finally measures the **content-addressed result cache**
 (:mod:`repro.mutation.cache`) on the same suite: a cold run against an
@@ -181,8 +179,8 @@ def bench_suite(ips, workers, cycles, sensors=("razor", "counter")):
         )
     per_campaign_s = time.perf_counter() - started
 
-    # Shared pool: one scheduler for the whole suite, shards
-    # interleaved across campaigns.
+    # Shared pool: one scheduler for the whole suite, campaigns in
+    # sequence on it.
     started = time.perf_counter()
     with CampaignScheduler(workers=workers) as scheduler:
         suite = run_benchmark_suite(

@@ -9,8 +9,9 @@ Measures, per case-study IP:
   analyzer (:func:`repro.lint.plan_pruning`) removes from the
   executable set (equivalents + duplicates);
 * **campaign speedup** -- wall time of the mutation campaign with
-  ``lint_prune`` off vs on (plan preparation included in the pruned
-  time: the payoff must survive its own overhead).
+  pruning off (an empty ``PrunePlan``: every mutant executes) vs on
+  (plan preparation included in the pruned time: the payoff must
+  survive its own overhead).
 
 Every pruned campaign is checked **field-identical** to its unpruned
 twin (outcome lists included) -- the determinism gate; any drift
@@ -41,7 +42,7 @@ sys.path.insert(
 
 from repro.flow import run_flow                              # noqa: E402
 from repro.ips import CASE_STUDIES, case_study               # noqa: E402
-from repro.lint import lint_module, plan_pruning             # noqa: E402
+from repro.lint import PrunePlan, lint_module, plan_pruning  # noqa: E402
 from repro.mutation.campaign import run_campaign             # noqa: E402
 from repro.reporting import format_table                     # noqa: E402
 
@@ -80,12 +81,13 @@ def bench_ip(name, sensor, repeat):
             ip_name=name, sensor_type=sensor, **kw
         )
 
-    off_s, off = _best(run, repeat)
+    off_s, off = _best(lambda: run(prune_plan=PrunePlan(total=total)),
+                       repeat)
 
     def run_pruned():
         # The plan is part of the pruned path's cost: re-derive it.
         p = plan_pruning(flow.injected, sensor, module=module)
-        return run(lint_prune=True, prune_plan=p)
+        return run(prune_plan=p)
 
     on_s, on = _best(run_pruned, repeat)
 

@@ -16,8 +16,7 @@ Commands
     ``--format json`` emits the machine-readable reports (findings,
     severity counts, waived entries) instead of the text listing.
 ``mutate <ip> <sensor> [--workers N] [--shard-size M] [--cycles C]
-[--batch K] [--cache-dir DIR] [--no-cache] [--lint-prune]
-[--trace FILE]``
+[--batch K] [--cache-dir DIR] [--no-cache] [--trace FILE]``
     Run only the mutation campaign through the sharded engine
     (:mod:`repro.mutation.campaign`).  ``--workers`` distributes the
     mutant shards across worker processes (the report is
@@ -27,29 +26,26 @@ Commands
     as batched multi-mutant sweeps of K mutants sharing one base
     simulation with fork-on-divergence and early-kill
     (:mod:`repro.mutation.batched`; the report stays
-    field-identical); ``--lint-prune`` lets the static
-    mutant analyzer (:mod:`repro.lint.mutants`) synthesise verdicts
-    for provably-equivalent and duplicate mutants instead of
-    simulating them (the report stays field-identical);
-    ``--trace FILE`` records the run with the span tracer
+    field-identical); ``--trace FILE`` records the run with the span tracer
     (:mod:`repro.obs`) and writes a Chrome/Perfetto ``trace.json``
     (load it at ``chrome://tracing`` or https://ui.perfetto.dev; the
     report stays field-identical).  Prints
     campaign throughput (mutants/sec) alongside the Table-5
     percentages.  Timed-out (stall-budget-truncated) runs are
     excluded from every percentage and called out separately in the
-    summary.
+    summary.  The static mutant analyzer (:mod:`repro.lint.mutants`)
+    always synthesises verdicts for provably-equivalent and duplicate
+    mutants instead of simulating them (the report stays
+    field-identical).
 ``bench [--ips a,b] [--sensors razor,counter] [--workers N]
-[--rtl-validation] [--cache-dir DIR] [--no-cache] [--lint-prune] ...``
+[--rtl-validation] [--cache-dir DIR] [--no-cache] ...``
     Run the whole cross-IP campaign suite (every selected IP x sensor
-    type) on one shared persistent worker pool through the streaming
-    scheduler (:mod:`repro.mutation.scheduler`), with live per-shard
-    progress lines.  Each campaign's shards enter the shared queue as
-    soon as it is prepared, so small campaigns backfill pool slots
-    left idle by big ones; the per-campaign reports stay deterministic
-    (identical to standalone ``mutate`` runs).  ``--rtl-validation``
-    interleaves each campaign's RTL-validation shards on the same
-    pool and prints a second table with the RTL results.
+    type) one campaign after another on one shared persistent worker
+    pool (:func:`repro.mutation.run_benchmark_suite`), with live
+    per-shard progress lines; the per-campaign reports stay
+    deterministic (identical to standalone ``mutate`` runs).
+    ``--rtl-validation`` re-runs each campaign's mutants at RTL on the
+    same pool and prints a second table with the RTL results.
 ``timing <ip> <sensor> [cycles] [--rtl-exec compiled|interpreted]``
     Measure the RTL / TLM / optimised-TLM simulation times on the IP's
     testbench workload.  ``--rtl-exec both`` additionally times the
@@ -250,7 +246,6 @@ def _cmd_mutate(args) -> int:
         shard_size=args.shard_size,
         batch_size=args.batch,
         cache=_resolve_cache(args),
-        lint_prune=args.lint_prune,
     )
     report = result.mutation
     if args.trace:
@@ -335,7 +330,6 @@ def _cmd_bench(args) -> int:
             cache=cache,
             rtl_validation=args.rtl_validation,
             rtl_validation_cycles=args.rtl_cycles,
-            lint_prune=args.lint_prune,
         )
     rows = []
     for (ip, sensor), report in sorted(suite.reports.items()):
@@ -372,8 +366,7 @@ def _cmd_bench(args) -> int:
              "cache (hit/miss)", "time (s)"],
             rtl_rows,
             title=(
-                "RTL validation (same shared pool, interleaved with "
-                "the TLM shards)"
+                "RTL validation (same shared pool)"
             ),
         ))
     pairs = [
@@ -1035,10 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "simulation shared per K mutants with "
                             "fork-on-divergence (default: serial, one "
                             "simulation per mutant; report unchanged)")
-    p_mut.add_argument("--lint-prune", action="store_true",
-                       help="statically prune equivalent/duplicate "
-                            "mutants (verdicts synthesised, report "
-                            "unchanged)")
     p_mut.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run with the span tracer and "
                             "write Chrome/Perfetto trace-event JSON "
@@ -1050,15 +1039,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the cross-IP campaign suite on one shared worker pool",
         description=(
             "Run every selected IP x sensor-type mutation campaign as "
-            "one suite through the streaming scheduler: all shards "
-            "share a single persistent worker pool (small campaigns "
-            "backfill idle slots, campaign preparation overlaps shard "
-            "execution), with live per-shard progress lines.  Reported "
+            "one suite, one campaign after another on a single "
+            "persistent worker pool, with live per-shard progress "
+            "lines.  Reported "
             "percentages exclude timed-out (stall-budget-truncated) "
             "runs.  With --cache-dir, verdicts are replayed from / "
             "stored into a content-addressed result cache; with "
-            "--rtl-validation, each campaign's RTL-validation shards "
-            "interleave on the same pool."
+            "--rtl-validation, each campaign's mutants are re-run at "
+            "RTL on the same pool."
         ),
     )
     p_bench.add_argument("--ips", default=None,
@@ -1087,10 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--cycles, else the per-IP value; short "
                               "RTL testbenches can legitimately miss "
                               "100%% risen)")
-    p_bench.add_argument("--lint-prune", action="store_true",
-                         help="statically prune equivalent/duplicate "
-                              "mutants in every campaign (reports "
-                              "unchanged; RTL validation never pruned)")
     _add_cache_options(p_bench)
 
     p_time = sub.add_parser("timing", help="RTL vs TLM simulation speed")

@@ -25,7 +25,7 @@ from repro.mutation import (
     MutationReport,
     RtlValidationReport,
     inject_mutants,
-    run_mutation_analysis,
+    run_campaign,
     validate_at_rtl,
 )
 from repro.obs import trace_span
@@ -153,7 +153,6 @@ def run_flow(
     rtl_exec_mode: str = "compiled",
     cache=None,
     lint: bool = True,
-    lint_prune: bool = False,
 ) -> FlowResult:
     """Execute the full methodology for one IP and sensor type.
 
@@ -174,9 +173,9 @@ def run_flow(
         scheduler: a :class:`repro.mutation.CampaignScheduler` letting
             many ``run_flow`` calls (and the RTL validation) share one
             persistent worker pool instead of paying a pool spin-up
-            per call -- the cross-IP batching entry point
-            :func:`repro.mutation.run_benchmark_suite` builds on
-            exactly this.
+            per call -- the cross-IP suite
+            :func:`repro.mutation.run_benchmark_suite` runs exactly
+            this pattern.
         rtl_exec_mode: RTL kernel execution mode for every
             event-driven simulation the flow runs (``"compiled"``
             closures by default, ``"interpreted"`` for the reference
@@ -191,11 +190,12 @@ def run_flow(
             :class:`repro.lint.LintGateError` instead of simulating a
             broken netlist.  The report lands in
             :attr:`FlowResult.lint_report` either way.
-        lint_prune: additionally run the static mutant analyzer
-            (:mod:`repro.lint.mutants`): provably-equivalent mutants
-            are judged against the golden trace and duplicates clone
-            their representative's verdict, without changing a single
-            reported field.
+
+    The TLM campaign is statically pruned with a module-aware plan
+    (:func:`repro.lint.plan_pruning`): provably-equivalent mutants are
+    judged against the golden trace and duplicates clone their
+    representative's verdict, without changing a single reported
+    field.
 
     Returns:
         A :class:`FlowResult` carrying every artefact of the four
@@ -269,19 +269,14 @@ def run_flow(
         # testbench to be stimulated at RTL too.
         rtl_validation_cycles = spec.mutation_cycles
     if run_mutation:
-        stimuli = spec.stimulus(mutation_cycles)
-        prune_plan = None
-        if lint_prune:
-            from repro.lint import plan_pruning
+        from repro.lint import plan_pruning
 
-            # The augmented IR enables the frozen-target fold analysis
-            # on top of the scheduler-level equivalence criteria.
-            prune_plan = plan_pruning(injected, sensor_type, module=module)
+        stimuli = spec.stimulus(mutation_cycles)
         # The GeneratedTlm itself (not a bare factory) keeps the
         # golden fingerprintable, so a warm cache can replay the
         # golden trace and skip the reference simulation entirely.
         with trace_span("flow.mutation", ip=spec.name, sensor=sensor_type):
-            result.mutation = run_mutation_analysis(
+            result.mutation = run_campaign(
                 tlm_optimized,
                 injected,
                 stimuli,
@@ -293,8 +288,11 @@ def run_flow(
                 batch_size=batch_size,
                 scheduler=scheduler,
                 cache=cache,
-                lint_prune=lint_prune,
-                prune_plan=prune_plan,
+                # The augmented IR enables the frozen-target fold
+                # analysis on top of the scheduler-level criteria.
+                prune_plan=plan_pruning(
+                    injected, sensor_type, module=module
+                ),
             )
 
     if run_rtl_validation:

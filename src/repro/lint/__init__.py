@@ -10,9 +10,8 @@ simulation:
   model and per-IP waivers;
 * :mod:`repro.lint.mutants` -- static classification of a ``MUTANTS``
   table into equivalent / duplicate / must-execute entries, consumed
-  by :func:`repro.mutation.campaign.prepare_campaign` under
-  ``lint_prune=True`` to cut executed-mutant counts without changing
-  a single verdict.
+  by every :func:`repro.mutation.campaign.prepare_campaign` to cut
+  executed-mutant counts without changing a single verdict.
 
 Exposed on the CLI as ``repro lint`` and run automatically in front of
 every :func:`repro.flow.run_flow` mutation campaign.

@@ -13,20 +13,22 @@ shared or ephemeral pools).
 
 Three consumption styles share that machinery:
 
-* :func:`run_campaign` / :func:`run_mutation_analysis` -- blocking,
-  one merged report per campaign (the historical signatures, now with
-  ``scheduler=`` / ``progress=``);
+* :func:`run_campaign` -- blocking, one merged report per campaign
+  (``scheduler=`` shares a pool, ``progress=`` reports per shard);
 * :func:`iter_campaign` -- streaming: yields each
   :class:`MutantOutcome` as its shard completes, with
   :class:`CampaignProgress` callbacks and :class:`AbortPolicy`
   early-abort (first survivor / score threshold);
-* :func:`run_benchmark_suite` -- cross-IP batching: every
-  ``IP x sensor type`` campaign prepared up front, shards interleaved
-  round-robin on one shared pool so small campaigns backfill idle
-  slots (``rtl_validation=True`` interleaves
-  :class:`RtlValidationShard` units on the same pool).
+* :func:`run_benchmark_suite` -- the cross-IP suite: ``run_campaign``
+  (then :func:`validate_at_rtl` with ``rtl_validation=True``) per
+  ``IP x sensor type`` campaign, all on one shared pool.
 
-All four styles accept ``cache=`` (a :class:`ResultCache` from
+All of them, and :func:`validate_at_rtl`, drain their shards through
+the one shard loop :func:`stream_shard_batches`.  Every campaign is
+statically pruned (:mod:`repro.lint.mutants`): provably equivalent
+and duplicate mutants get their verdicts without simulation.
+
+All styles accept ``cache=`` (a :class:`ResultCache` from
 :mod:`repro.mutation.cache`): verdicts are content-addressed by
 (model fingerprint, stimuli/golden hash, mutant spec, sensor type,
 judgement parameters), so re-running an unchanged campaign replays
@@ -44,7 +46,6 @@ from .analysis import (
     MutantOutcome,
     MutationReport,
     compute_golden_trace,
-    run_mutation_analysis,
 )
 from .cache import ResultCache, shard_entry_keys
 from .campaign import (
@@ -92,7 +93,6 @@ __all__ = [
     "MutantOutcome",
     "MutationReport",
     "compute_golden_trace",
-    "run_mutation_analysis",
     "CampaignShard",
     "PreparedCampaign",
     "ShardResult",

@@ -184,14 +184,13 @@ class PreparedCampaign:
     maps every mutant index to its entry key so executed outcomes can
     be written back.
 
-    When prepared with ``lint_prune=True``, statically-equivalent
-    mutants are judged against the golden trace at prepare time
-    (``pruned_outcomes``) and duplicates of still-executing
-    representatives are deferred (``duplicate_of`` /
+    Statically-equivalent mutants are judged against the golden trace
+    at prepare time (``pruned_outcomes``) and duplicates of
+    still-executing representatives are deferred (``duplicate_of`` /
     ``duplicate_specs``) until :meth:`expand_outcomes` clones them as
     their representative's shard completes.  Pruned mutants are
     *counted, never dropped*: every mutant index appears in the final
-    outcome stream either way.
+    outcome stream.
     """
 
     ip_name: str
@@ -264,9 +263,8 @@ class PreparedCampaign:
     def build_report(self, outcomes, seconds: float = 0.0) -> MutationReport:
         """Assemble the deterministic merged report: outcomes sorted
         by mutant index plus the campaign metadata captured at prepare
-        time.  Shared by :func:`run_campaign` and
-        :func:`repro.mutation.scheduler.run_benchmark_suite` so their
-        reports cannot drift apart."""
+        time.  Shared by :func:`run_campaign` and the campaign service
+        so their reports cannot drift apart."""
         report = MutationReport(
             ip_name=self.ip_name,
             sensor_type=self.sensor_type,
@@ -376,7 +374,6 @@ def prepare_campaign(
     shard_size: "int | None" = None,
     batch_size: "int | None" = None,
     cache=None,
-    lint_prune: bool = False,
     prune_plan=None,
 ) -> PreparedCampaign:
     """Run the mutant-independent campaign setup once.
@@ -395,11 +392,12 @@ def prepare_campaign(
     :mod:`repro.mutation.batched`); verdicts and cache write-back keys
     are identical either way.
 
-    With ``lint_prune=True`` the static mutant analyzer
+    The static mutant analyzer
     (:func:`repro.lint.mutants.plan_pruning`, or a precomputed
     ``prune_plan`` -- pass one built with the augmented IR module to
-    enable the ``frozen-target`` fold analysis) additionally removes
-    provably-equivalent mutants from the executable set: their
+    enable the ``frozen-target`` fold analysis, or an empty
+    ``PrunePlan(total=n)`` to execute every mutant) additionally
+    removes provably-equivalent mutants from the executable set: their
     verdicts are synthesised against the golden trace right here and
     written back to ``cache`` like executed ones.  Duplicate mutants
     clone their representative's verdict -- immediately when it is
@@ -408,8 +406,7 @@ def prepare_campaign(
     shard completes.
 
     Returns a :class:`PreparedCampaign` whose ``shards`` cover exactly
-    the cache misses minus the pruned set (every mutant, when ``cache``
-    is ``None`` and ``lint_prune`` is off); replayed verdicts are
+    the cache misses minus the pruned set; replayed verdicts are
     carried in ``cached_outcomes`` / ``pruned_outcomes``, re-indexed
     to the current mutant table.
     """
@@ -490,77 +487,74 @@ def prepare_campaign(
         hits = len(cached_outcomes)
         misses = len(miss_indices)
 
+    from repro.lint.mutants import (
+        clone_outcome,
+        equivalence_confirmed,
+        judge_equivalent,
+        plan_pruning,
+    )
+
+    plan = (
+        prune_plan
+        if prune_plan is not None
+        else plan_pruning(injected, sensor_type)
+    )
+    confirmed = {
+        i: reason
+        for i, reason in plan.equivalent.items()
+        if equivalence_confirmed(reason, sensor_type, golden_trace)
+    }
+    # Plan-level counters (all table entries, not just cache misses) so
+    # cold and warm runs of the same campaign report identical prune
+    # statistics.
+    pruned_equivalent = len(confirmed)
+    pruned_duplicate = len(plan.duplicate_of)
     pruned_outcomes: "list" = []
     duplicate_of: "dict[int, int]" = {}
     duplicate_specs: "dict[int, object]" = {}
-    pruned_equivalent = pruned_duplicate = None
-    if lint_prune:
-        from repro.lint.mutants import (
-            clone_outcome,
-            equivalence_confirmed,
-            judge_equivalent,
-            plan_pruning,
+    thresholds = None
+    if sensor_type == "counter":
+        thresholds = dict(
+            getattr(injected.compiled_class(), "LUT_THRESHOLDS", {}) or {}
         )
-
-        plan = (
-            prune_plan
-            if prune_plan is not None
-            else plan_pruning(injected, sensor_type)
-        )
-        thresholds = None
-        if sensor_type == "counter":
-            thresholds = dict(
-                getattr(injected.compiled_class(), "LUT_THRESHOLDS", {})
-                or {}
+    known = {o.index: o for o in cached_outcomes}
+    remaining: "list[int]" = []
+    for i in miss_indices:
+        if i in confirmed:
+            outcome = judge_equivalent(
+                i,
+                specs[i],
+                golden_trace,
+                sensor_type=sensor_type,
+                recovery=recovery,
+                tap_order=taps,
+                thresholds=thresholds,
             )
-        confirmed = {
-            i: reason
-            for i, reason in plan.equivalent.items()
-            if equivalence_confirmed(reason, sensor_type, golden_trace)
-        }
-        # Plan-level counters (all table entries, not just cache
-        # misses) so cold and warm runs of the same campaign report
-        # identical prune statistics.
-        pruned_equivalent = len(confirmed)
-        pruned_duplicate = len(plan.duplicate_of)
-        known = {o.index: o for o in cached_outcomes}
-        remaining: "list[int]" = []
-        for i in miss_indices:
-            if i in confirmed:
-                outcome = judge_equivalent(
-                    i,
-                    specs[i],
-                    golden_trace,
-                    sensor_type=sensor_type,
-                    recovery=recovery,
-                    tap_order=taps,
-                    thresholds=thresholds,
-                )
-                pruned_outcomes.append(outcome)
-                known[i] = outcome
-            else:
-                remaining.append(i)
-        miss_indices = []
-        for i in remaining:
-            rep = plan.duplicate_of.get(i)
-            if rep is None:
-                miss_indices.append(i)
-            elif rep in known:
-                outcome = clone_outcome(known[rep], i, specs[i])
-                pruned_outcomes.append(outcome)
-                known[i] = outcome
-            else:
-                # Representative still executes; clone when its shard
-                # lands (PreparedCampaign.expand_outcomes).
-                duplicate_of[i] = rep
-                duplicate_specs[i] = specs[i]
-        if cache is not None and pruned_outcomes:
-            from .cache import encode_outcome
+            pruned_outcomes.append(outcome)
+            known[i] = outcome
+        else:
+            remaining.append(i)
+    miss_indices = []
+    for i in remaining:
+        rep = plan.duplicate_of.get(i)
+        if rep is None:
+            miss_indices.append(i)
+        elif rep in known:
+            outcome = clone_outcome(known[rep], i, specs[i])
+            pruned_outcomes.append(outcome)
+            known[i] = outcome
+        else:
+            # Representative still executes; clone when its shard
+            # lands (PreparedCampaign.expand_outcomes).
+            duplicate_of[i] = rep
+            duplicate_specs[i] = specs[i]
+    if cache is not None and pruned_outcomes:
+        from .cache import encode_outcome
 
-            for outcome in pruned_outcomes:
-                payload = encode_outcome(outcome)
-                payload["ip"] = ip_name
-                cache.put(cache_keys[outcome.index], payload)
+        for outcome in pruned_outcomes:
+            payload = encode_outcome(outcome)
+            payload["ip"] = ip_name
+            cache.put(cache_keys[outcome.index], payload)
 
     shards = tuple(
         CampaignShard(
@@ -614,7 +608,6 @@ def run_campaign(
     scheduler=None,
     progress=None,
     cache=None,
-    lint_prune: bool = False,
     prune_plan=None,
 ) -> MutationReport:
     """Run a full mutation campaign, sharded across ``workers``.
@@ -648,28 +641,30 @@ def run_campaign(
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
             verdicts are replayed instead of executed, and fresh
             verdicts are written back as their shards complete.
-        lint_prune: run the static mutant analyzer
-            (:mod:`repro.lint.mutants`) at prepare time; provably
+        prune_plan: the static mutant analyzer's
+            :class:`~repro.lint.mutants.PrunePlan`.  Provably
             equivalent mutants are judged against the golden trace
             without simulation and duplicates clone their
-            representative's verdict.  ``prune_plan`` optionally
-            supplies a precomputed (module-aware)
-            :class:`~repro.lint.mutants.PrunePlan`.
+            representative's verdict.  Default: planned from
+            ``injected`` alone; pass a module-aware plan to add the
+            frozen-target fold analysis, or an empty
+            ``PrunePlan(total=n)`` to execute every mutant.
 
     Returns:
         The merged :class:`MutationReport`, with ``cache_hits`` /
-        ``cache_misses`` set when a cache was in play and
-        ``pruned_equivalent`` / ``pruned_duplicate`` set when
-        ``lint_prune`` was on.
+        ``cache_misses`` set when a cache was in play, the plan-level
+        ``pruned_equivalent`` / ``pruned_duplicate`` counts, and the
+        shards' summed obs counters in ``obs``.
 
     Determinism: the report is byte-identical on every scored field
     for any ``workers`` / ``shard_size`` / ``batch_size`` /
     ``scheduler`` combination, for any cache state (cold, warm, or
-    partial), and for ``lint_prune`` on vs off.
+    partial), and for any prune plan.
     """
     from .scheduler import (
         _ephemeral_width,
         _leased_scheduler,
+        merge_shard_obs,
         stream_shard_batches,
     )
 
@@ -687,26 +682,19 @@ def run_campaign(
             shard_size=shard_size,
             batch_size=batch_size,
             cache=cache,
-            lint_prune=lint_prune,
             prune_plan=prune_plan,
         )
-        outcomes: "list" = []
-        obs_counters: "dict[str, int]" = {}
         with _leased_scheduler(
             scheduler, _ephemeral_width(workers, prepared)
         ) as sched:
-            for batch, _snapshot in stream_shard_batches(
-                sched, prepared, progress=progress, cache=cache
-            ):
-                outcomes.extend(batch)
-                payload = getattr(batch, "obs", None) or {}
-                for name, value in sorted(
-                    (payload.get("counters") or {}).items()
-                ):
-                    obs_counters[name] = obs_counters.get(name, 0) + value
+            batches = [
+                batch for batch, _snapshot in stream_shard_batches(
+                    sched, prepared, progress=progress, cache=cache
+                )
+            ]
     report = prepared.build_report(
-        outcomes, seconds=time.perf_counter() - started
+        [o for batch in batches for o in batch],
+        seconds=time.perf_counter() - started,
     )
-    if obs_counters:
-        report.obs = {"counters": obs_counters}
+    report.obs = merge_shard_obs(batches)
     return report

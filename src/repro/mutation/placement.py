@@ -6,10 +6,8 @@ campaign engine speaks, and the ownership of one local
 :class:`~concurrent.futures.ProcessPoolExecutor`.  This module splits
 them: a :class:`ShardPlacement` is anything that accepts shards and
 resolves futures of their outcome lists, and the campaign engine
-(:func:`~repro.mutation.scheduler._stream_shard_results`,
-:func:`~repro.mutation.scheduler.stream_shard_batches`,
-:func:`~repro.mutation.scheduler.run_benchmark_suite`) is written
-against that interface alone.
+(:func:`~repro.mutation.scheduler.stream_shard_batches`, the one
+shard loop) is written against that interface alone.
 
 Implementations:
 
@@ -17,8 +15,8 @@ Implementations:
   bit-identical: a lazily-created local process pool, with
   ``workers=1`` degrading to inline execution and ``inline_only``
   shards always executing in the parent.
-  :class:`~repro.mutation.scheduler.CampaignScheduler` is now a thin
-  alias of this class, so every existing call site keeps working.
+  :class:`~repro.mutation.scheduler.CampaignScheduler` is an alias
+  of this class.
 * :class:`repro.service.fleet.RemoteWorkerPlacement` -- shards
   serialised over the service wire format to a
   ``repro serve --role worker`` daemon.

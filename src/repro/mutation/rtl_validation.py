@@ -19,11 +19,12 @@ the TLM emulation.
 
 Execution model
 ---------------
-Validation is lowered to :class:`RtlValidationShard` work units served
-by the same :class:`~repro.mutation.scheduler.CampaignScheduler` pool
-as the TLM campaign shards (the historical serial per-mutant loop is
-gone): mixed TLM-campaign + RTL-validation suites interleave on one
-executor (:func:`repro.mutation.scheduler.run_benchmark_suite` with
+Validation is lowered to :class:`RtlValidationShard` work units and
+drained by the same shard loop as the TLM campaign
+(:func:`repro.mutation.scheduler.stream_shard_batches`), so a campaign
+and its RTL validation can share one
+:class:`~repro.mutation.scheduler.CampaignScheduler` pool
+(:func:`repro.mutation.scheduler.run_benchmark_suite` with
 ``rtl_validation=True``).
 
 An :class:`~repro.sensors.insertion.AugmentedIP` holds native sensor
@@ -272,8 +273,19 @@ class PreparedRtlValidation:
     cache_misses: "int | None" = None
 
     @property
+    def replayed_outcomes(self) -> "tuple":
+        """Every verdict known before any shard executes (cache
+        replays only: RTL validation never prunes -- every mutant
+        re-executes at RTL by definition of the cross-level check)."""
+        return self.cached_outcomes
+
+    @property
     def total_shards(self) -> int:
         return len(self.shards) + (1 if self.cached_outcomes else 0)
+
+    def expand_outcomes(self, outcomes):
+        """No deferred duplicates to attach: returns ``outcomes``."""
+        return outcomes
 
     def build_report(self, outcomes,
                      seconds: float = 0.0) -> RtlValidationReport:
@@ -429,8 +441,8 @@ def validate_at_rtl(
         workers / shard_size / scheduler: shard sizing and pool
             placement, exactly as in
             :func:`~repro.mutation.campaign.run_campaign`; pass the
-            campaign's :class:`CampaignScheduler` to interleave RTL
-            shards with TLM shards on one executor.
+            campaign's :class:`CampaignScheduler` to run the RTL
+            shards on the same pool.
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
             verdicts replay instantly (``stimuli`` form only).
 
@@ -442,8 +454,7 @@ def validate_at_rtl(
     from .scheduler import (
         _ephemeral_width,
         _leased_scheduler,
-        _stream_shard_results,
-        _write_back,
+        stream_shard_batches,
     )
 
     started = time.perf_counter()
@@ -461,17 +472,16 @@ def validate_at_rtl(
         shard_size=shard_size,
         cache=cache,
     )
-    outcomes = list(prepared.cached_outcomes)
     with _leased_scheduler(
         scheduler, _ephemeral_width(workers, prepared)
     ) as sched:
-        for batch in _stream_shard_results(sched, prepared.shards):
-            if cache is not None:
-                from .cache import encode_rtl_outcome
-
-                _write_back(cache, prepared.cache_keys, batch,
-                            encode_rtl_outcome, ip=ip_name)
-            outcomes.extend(batch)
+        outcomes = [
+            outcome
+            for batch, _snapshot in stream_shard_batches(
+                sched, prepared, cache=cache
+            )
+            for outcome in batch
+        ]
     return prepared.build_report(
         outcomes, seconds=time.perf_counter() - started
     )

@@ -19,18 +19,16 @@ single persistent worker pool:
   threshold is reached -- new shards stop being submitted, in-flight
   shards drain).  Collecting every yield and sorting by mutant index
   reproduces the blocking report byte-for-byte.
-* :func:`run_benchmark_suite` batches whole campaign *suites* across
-  IPs: each campaign's shards are submitted to the shared pool as soon
-  as that campaign is prepared (prep of later campaigns overlaps
-  execution of earlier ones), and the shared queue lets short
-  campaigns backfill pool slots left idle while the long ones drain --
-  no per-campaign serialisation barrier, one pool warm for the whole
-  regression.  With ``rtl_validation=True`` the suite also lowers
-  every campaign's RTL-validation mutants to
-  :class:`~repro.mutation.rtl_validation.RtlValidationShard` work
-  units on the *same* pool, so TLM campaigns and RTL validations
-  interleave on one executor instead of the historical serial
-  per-mutant loop.
+* :func:`stream_shard_batches` is the one shard loop: every
+  campaign -- TLM (:func:`~repro.mutation.campaign.run_campaign`,
+  :func:`iter_campaign`, the campaign service) and RTL validation
+  (:func:`~repro.mutation.rtl_validation.validate_at_rtl`) -- drains
+  its shards through it, so replay, write-back, progress, abort and
+  the obs side-channel are handled in one place.
+* :func:`run_benchmark_suite` runs a whole cross-IP suite as a plain
+  loop of ``run_campaign`` (then ``validate_at_rtl`` when asked) per
+  campaign on one leased pool: the pool is spun up once for the whole
+  regression.
 
 Every entry point threads ``cache=`` (a
 :class:`~repro.mutation.cache.ResultCache`) through
@@ -53,14 +51,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs import (
-    TRACER,
-    CompletionStamps,
-    absorb_shard_counters,
-    trace_span,
-)
+from repro.obs import TRACER, absorb_shard_counters, trace_span
 
-from .campaign import PreparedCampaign, ShardResult, prepare_campaign
+from .campaign import (
+    PreparedCampaign,
+    ShardResult,
+    prepare_campaign,
+    run_campaign,
+)
 from .placement import LocalPoolPlacement, ShardPlacement
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
@@ -72,8 +70,8 @@ __all__ = [
     "CampaignScheduler",
     "SuiteResult",
     "iter_campaign",
+    "merge_shard_obs",
     "run_benchmark_suite",
-    "stream_prepared",
     "stream_shard_batches",
 ]
 
@@ -156,10 +154,12 @@ class _CampaignTracker:
         # Mirror MutationReport's score accounting: a timed-out run is
         # neither a kill nor a survivor, even if it diverged before the
         # truncation -- so killed + survivors + timed_out == done and
-        # the running abort score agrees with the final report.
-        if outcome.timed_out:
+        # the running abort score agrees with the final report.  An
+        # RTL-validation outcome never times out, and its verdict is
+        # the sensor error rising.
+        if getattr(outcome, "timed_out", False):
             self.timed_out += 1
-        elif outcome.killed:
+        elif getattr(outcome, "killed", outcome.error_risen):
             self.killed += 1
         else:
             self.survivors += 1
@@ -172,10 +172,7 @@ class _CampaignTracker:
 
     def absorb(self, outcomes, progress=None) -> None:
         """Account one completed shard: record every outcome, bump the
-        shard counter, fire the progress callback.  The single
-        absorption path shared by :func:`stream_prepared` and
-        :func:`run_benchmark_suite`, so streaming and suite accounting
-        cannot drift apart."""
+        shard counter, fire the progress callback."""
         for outcome in outcomes:
             self.record(outcome)
         self.shards_done += 1
@@ -198,34 +195,15 @@ class _CampaignTracker:
         )
 
 
-class CampaignScheduler(LocalPoolPlacement):
-    """One persistent local worker pool serving shards from many
-    campaigns -- the historical name of
-    :class:`~repro.mutation.placement.LocalPoolPlacement`, kept as the
-    batch-flow entry point.
-
-    "Where a shard runs" is now a policy
-    (:class:`~repro.mutation.placement.ShardPlacement`): every
-    streaming entry point in this module accepts any placement -- this
-    local pool, a :class:`~repro.service.fleet.RemoteWorkerPlacement`
-    speaking to a ``repro serve --role worker`` daemon, or a whole
-    :class:`~repro.service.fleet.FleetPlacement` -- and produces
-    byte-identical reports on all of them (outcomes merge by mutant
-    index, never by completion or steal order).
-
-    The pool is **self-healing** (PR 7, inherited from
-    :class:`~repro.mutation.placement.LocalPoolPlacement`): a worker
-    process dying mid-shard (``kill -9``, OOM, ``os._exit``) is
-    absorbed by rebuilding the pool and re-running the lost shards;
-    a shard that keeps breaking pools must prove itself in an
-    isolated probe pool and is otherwise quarantined with a loud,
-    structured
-    :class:`~repro.mutation.placement.PoisonShardError` -- a campaign
-    is never silently truncated by infrastructure failure.
-    """
-
-    def __enter__(self) -> "CampaignScheduler":
-        return self
+#: One persistent local worker pool serving shards from many campaigns
+#: -- the historical name of
+#: :class:`~repro.mutation.placement.LocalPoolPlacement`.  Every
+#: streaming entry point here accepts any
+#: :class:`~repro.mutation.placement.ShardPlacement` (this pool, a
+#: remote worker, a whole fleet) and produces byte-identical reports on
+#: all of them: outcomes merge by mutant index, never by completion
+#: order.
+CampaignScheduler = LocalPoolPlacement
 
 
 def _ephemeral_width(workers: int, prepared: PreparedCampaign) -> int:
@@ -258,9 +236,8 @@ def _stream_shard_results(scheduler: "ShardPlacement", shards, *,
     list in completion order, keeping at most one submitted shard per
     pool slot so a ``stop()`` predicate (e.g. an abort policy)
     genuinely stops work instead of merely ignoring results of shards
-    already queued behind the pool.  The low-level drain loop shared
-    by :func:`stream_shard_batches` and
-    :func:`repro.mutation.rtl_validation.validate_at_rtl`.
+    already queued behind the pool.  The low-level drain loop of
+    :func:`stream_shard_batches`.
 
     The in-flight window is **never abandoned**: if the consumer stops
     iterating early -- a raising ``progress`` callback, an aborted
@@ -293,52 +270,46 @@ def _stream_shard_results(scheduler: "ShardPlacement", shards, *,
             wait(pending)
 
 
-def _write_back(cache, cache_keys, outcomes, encode, ip=None) -> None:
-    """Store freshly-executed outcomes under their prepare-time entry
-    keys (no-op without a cache).  ``ip`` tags each payload for the
-    per-IP cache statistics (:meth:`ResultCache.stats`); the tag is
-    informational and ignored on decode."""
-    if cache is None or cache_keys is None:
-        return
-    for outcome in outcomes:
-        payload = encode(outcome)
-        if ip is not None:
-            payload["ip"] = ip
-        cache.put(cache_keys[outcome.index], payload)
-
-
 def stream_shard_batches(
     scheduler: "ShardPlacement",
-    prepared: PreparedCampaign,
+    prepared,
     *,
     progress=None,
     abort: "AbortPolicy | None" = None,
     cache=None,
 ):
     """Run an already-prepared campaign on ``scheduler``, yielding one
-    ``(outcomes, CampaignProgress)`` pair per completed shard.  The
-    shard-granular streaming core shared by :func:`stream_prepared`
-    and the campaign service (whose ``/jobs/<id>/events`` wire format
-    is exactly this: per-shard outcome batches interleaved with
-    progress snapshots); the caller owns the scheduler's lifetime.
+    ``(outcomes, CampaignProgress)`` pair per completed shard.  The one
+    shard loop: :func:`~repro.mutation.campaign.run_campaign`,
+    :func:`iter_campaign`,
+    :func:`~repro.mutation.rtl_validation.validate_at_rtl` and the
+    campaign service (whose ``/jobs/<id>/events`` wire format is
+    exactly this: per-shard outcome batches interleaved with progress
+    snapshots) all drain it; the caller owns the scheduler's lifetime.
 
-    Replayed outcomes (``prepared.replayed_outcomes``: cache hits plus
-    statically-pruned verdicts) are yielded first as one virtual shard
-    -- they count toward progress and can trigger the abort policy
-    before any submission happens.  Freshly executed outcomes are
-    expanded with any deferred duplicate clones
-    (:meth:`~repro.mutation.campaign.PreparedCampaign.expand_outcomes`)
-    and written back to ``cache`` as their shards complete (pass the
-    same cache the campaign was prepared with) -- so the clones earn
-    their own content-addressed entries for free.
+    ``prepared`` is a
+    :class:`~repro.mutation.campaign.PreparedCampaign` or a
+    :class:`~repro.mutation.rtl_validation.PreparedRtlValidation`.
+    Replayed outcomes (``prepared.replayed_outcomes``: cache hits plus,
+    for TLM campaigns, statically-pruned verdicts) are yielded first as
+    one virtual shard -- they count toward progress and can trigger
+    the abort policy before any submission happens.  Freshly executed
+    outcomes are expanded with any deferred duplicate clones
+    (``prepared.expand_outcomes``) and written back to ``cache`` as
+    their shards complete (pass the same cache the campaign was
+    prepared with) -- so the clones earn their own content-addressed
+    entries for free.
 
     Abandoning the generator early (``close()``, or an exception out
     of a ``progress`` callback) stops submission and drains in-flight
     shards before returning, so a shared scheduler is never left with
     orphan work -- see :func:`_stream_shard_results`.
     """
-    from .cache import encode_outcome
+    from .cache import encode_outcome, encode_rtl_outcome
 
+    encode = (encode_outcome if isinstance(prepared, PreparedCampaign)
+              else encode_rtl_outcome)
+    keys = prepared.cache_keys if cache is not None else None
     with trace_span("scheduler.stream", ip=prepared.ip_name,
                     sensor=prepared.sensor_type,
                     shards=prepared.total_shards):
@@ -357,13 +328,18 @@ def stream_shard_batches(
                 # shard counters feed the metrics registry, relative-
                 # offset spans are re-anchored onto the tracer, and the
                 # payload rides on to the caller for per-campaign
-                # aggregation (report.obs).
+                # aggregation (merge_shard_obs).
                 obs = getattr(outcomes, "obs", None)
                 absorb_shard_counters(obs)
                 TRACER.absorb_shard(obs, ip=prepared.ip_name)
                 outcomes = prepared.expand_outcomes(outcomes)
-                _write_back(cache, prepared.cache_keys, outcomes,
-                            encode_outcome, ip=prepared.ip_name)
+                if keys is not None:
+                    # The ``ip`` tag feeds the per-IP cache statistics
+                    # (ResultCache.stats) and is ignored on decode.
+                    for outcome in outcomes:
+                        payload = encode(outcome)
+                        payload["ip"] = prepared.ip_name
+                        cache.put(keys[outcome.index], payload)
                 tracker.absorb(outcomes, progress)
                 yield ShardResult(outcomes, obs=obs), tracker.snapshot()
         finally:
@@ -374,30 +350,18 @@ def stream_shard_batches(
             results.close()
 
 
-def stream_prepared(
-    scheduler: "ShardPlacement",
-    prepared: PreparedCampaign,
-    *,
-    progress=None,
-    abort: "AbortPolicy | None" = None,
-    cache=None,
-):
-    """Run an already-prepared campaign on ``scheduler``, yielding
-    ``MutantOutcome``s as shards complete.  The streaming core shared
-    by :func:`iter_campaign` and
-    :func:`repro.mutation.campaign.run_campaign`; the caller owns the
-    scheduler's lifetime.  Outcome-granular flattening of
-    :func:`stream_shard_batches` -- see there for the cache-replay and
-    early-abandonment semantics.
-    """
-    batches = stream_shard_batches(
-        scheduler, prepared, progress=progress, abort=abort, cache=cache
-    )
-    try:
-        for outcomes, _snapshot in batches:
-            yield from outcomes
-    finally:
-        batches.close()
+def merge_shard_obs(batches) -> "dict | None":
+    """Per-campaign obs aggregate of the shard batches
+    :func:`stream_shard_batches` yielded: every shard's counters summed
+    (``{"counters": {...}}``), or ``None`` when no shard carried a
+    capture.  Becomes ``MutationReport.obs``."""
+    counters: "dict[str, int]" = {}
+    for batch in batches:
+        payload = getattr(batch, "obs", None) or {}
+        for name, value in (payload.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0) + value
+    return {"counters": dict(sorted(counters.items()))} if counters \
+        else None
 
 
 def iter_campaign(
@@ -416,7 +380,6 @@ def iter_campaign(
     progress=None,
     abort: "AbortPolicy | None" = None,
     cache=None,
-    lint_prune: bool = False,
     prune_plan=None,
 ):
     """Stream one campaign: yield ``MutantOutcome``s as shards complete.
@@ -440,9 +403,10 @@ def iter_campaign(
     :class:`~repro.mutation.cache.ResultCache`) replays known verdicts
     as the very first batch -- so with a warm cache the stream yields
     everything instantly and submits nothing -- and writes fresh
-    verdicts back as shards complete.  ``lint_prune`` / ``prune_plan``
-    mirror :func:`~repro.mutation.campaign.run_campaign`: statically
-    pruned verdicts join the first (replayed) batch.
+    verdicts back as shards complete.  Statically pruned verdicts
+    (``prune_plan``, as in
+    :func:`~repro.mutation.campaign.run_campaign`) join that first
+    batch.
     """
     prepared = prepare_campaign(
         golden,
@@ -456,15 +420,19 @@ def iter_campaign(
         shard_size=shard_size,
         batch_size=batch_size,
         cache=cache,
-        lint_prune=lint_prune,
         prune_plan=prune_plan,
     )
     with _leased_scheduler(
         scheduler, _ephemeral_width(workers, prepared)
     ) as sched:
-        yield from stream_prepared(
+        batches = stream_shard_batches(
             sched, prepared, progress=progress, abort=abort, cache=cache
         )
+        try:
+            for outcomes, _snapshot in batches:
+                yield from outcomes
+        finally:
+            batches.close()
 
 
 @dataclass
@@ -473,17 +441,14 @@ class SuiteResult:
 
     #: ``(ip_name, sensor_type) -> MutationReport``, every report
     #: field-identical to a standalone ``run_campaign`` (modulo the
-    #: wall-clock ``seconds``, which here spans that campaign's own
-    #: preparation to its last shard; campaigns overlap on the shared
-    #: pool, so the per-campaign times can sum past the suite total).
+    #: wall-clock ``seconds``).
     reports: "dict[tuple[str, str], MutationReport]"
     seconds: float           # whole suite, including flow builds
-    campaign_seconds: float  # prepare+execute phase (prep of later
-                             # campaigns overlaps earlier shards)
+    campaign_seconds: float  # campaigns and RTL validations only
     workers: int
     #: ``(ip_name, sensor_type) -> RtlValidationReport`` when the
     #: suite ran with ``rtl_validation=True`` (empty otherwise); the
-    #: RTL shards interleaved with the TLM shards on the same pool.
+    #: RTL shards ran on the same pool as the TLM shards.
     rtl_reports: "dict" = field(default_factory=dict)
 
     @property
@@ -519,15 +484,20 @@ class SuiteResult:
     @property
     def mutants_per_second(self) -> float:
         """Pool throughput over the campaign window: mutants actually
-        *executed* per second.  RTL-validation mutants run inside the
-        same window, so they count; cache-replayed verdicts never
-        touch the pool, so they do not (a fully-warm re-run reports
-        0.0 rather than a replay rate mislabelled as execution)."""
+        *executed* per second.  TLM executions are the shards' own
+        ``mutants`` counters (cache replays and statically pruned
+        verdicts never reach a shard); RTL executions are the cache
+        misses (every mutant, cache-less).  A fully-warm re-run
+        reports 0.0 rather than a replay rate mislabelled as
+        execution."""
         if self.campaign_seconds <= 0:
             return 0.0
-        executed = (
-            self.total_mutants + self.total_rtl_mutants
-            - (self.cache_hits or 0)
+        executed = sum(
+            ((r.obs or {}).get("counters") or {}).get("mutants", 0)
+            for r in self.reports.values()
+        ) + sum(
+            r.total if r.cache_misses is None else r.cache_misses
+            for r in self.rtl_reports.values()
         )
         return executed / self.campaign_seconds
 
@@ -552,73 +522,6 @@ class SuiteResult:
         )
 
 
-@dataclass
-class _SuiteJob:
-    """One TLM campaign inside a suite: prepared shards + merge state."""
-
-    key: "tuple[str, str]"
-    prepared: PreparedCampaign
-    tracker: _CampaignTracker
-    started: float = 0.0     # perf_counter at this campaign's prepare
-    outcomes: "list" = field(default_factory=list)
-    seconds: float = 0.0
-
-    def absorb_shard(self, outcomes, progress) -> None:
-        self.outcomes.extend(outcomes)
-        self.tracker.absorb(outcomes, progress)
-
-    def expand(self, outcomes) -> "list":
-        """Resolve deferred duplicate clones against a fresh shard
-        batch (no-op unless the campaign was prepared with
-        ``lint_prune=True``)."""
-        return self.prepared.expand_outcomes(outcomes)
-
-    def write_back(self, cache, outcomes) -> None:
-        from .cache import encode_outcome
-
-        _write_back(cache, self.prepared.cache_keys, outcomes,
-                    encode_outcome, ip=self.key[0])
-
-    @property
-    def complete(self) -> bool:
-        return self.tracker.shards_done == self.prepared.total_shards
-
-
-@dataclass
-class _RtlSuiteJob:
-    """One RTL validation inside a suite: its shards ride the same
-    shared pool as the TLM campaign shards (no per-shard progress
-    callbacks -- RTL outcomes carry no kill/timeout verdict for the
-    :class:`CampaignProgress` fields to mean anything)."""
-
-    key: "tuple[str, str]"
-    prepared: "object"       # PreparedRtlValidation
-    started: float = 0.0
-    outcomes: "list" = field(default_factory=list)
-    shards_done: int = 0
-    seconds: float = 0.0
-
-    def absorb_shard(self, outcomes, progress) -> None:
-        del progress
-        self.outcomes.extend(outcomes)
-        self.shards_done += 1
-
-    def expand(self, outcomes) -> "list":
-        """RTL validation never prunes: every mutant re-executes at
-        RTL by definition of the cross-level check."""
-        return list(outcomes)
-
-    def write_back(self, cache, outcomes) -> None:
-        from .cache import encode_rtl_outcome
-
-        _write_back(cache, self.prepared.cache_keys, outcomes,
-                    encode_rtl_outcome, ip=self.key[0])
-
-    @property
-    def complete(self) -> bool:
-        return self.shards_done == self.prepared.total_shards
-
-
 def run_benchmark_suite(
     specs,
     sensor_types=("razor", "counter"),
@@ -634,7 +537,6 @@ def run_benchmark_suite(
     rtl_validation: bool = False,
     rtl_validation_cycles: "int | None" = None,
     rtl_exec_mode: str = "compiled",
-    lint_prune: bool = False,
 ) -> SuiteResult:
     """Run the cross-IP campaign suite on one shared worker pool.
 
@@ -663,10 +565,9 @@ def run_benchmark_suite(
             every campaign (and RTL validation) in the suite: known
             verdicts replay instantly, fresh ones are written back, so
             a second identical suite run executes (nearly) nothing.
-        rtl_validation: also lower every campaign's RTL-validation
-            mutants to shards on the *same* pool
-            (:class:`~repro.mutation.rtl_validation.RtlValidationShard`),
-            interleaved with the TLM shards; reports land in
+        rtl_validation: also re-run every campaign's mutants at RTL
+            (:func:`~repro.mutation.rtl_validation.validate_at_rtl`)
+            on the *same* pool; reports land in
             :attr:`SuiteResult.rtl_reports`.
         rtl_validation_cycles: RTL testbench length (default: the
             suite's ``mutation_cycles`` override, else the IP's
@@ -677,20 +578,14 @@ def run_benchmark_suite(
             testbenches; pass ``rtl_validation_cycles`` explicitly to
             decouple.
         rtl_exec_mode: kernel execution mode for the RTL shards.
-        lint_prune: run the static mutant analyzer
-            (:mod:`repro.lint.mutants`) on every campaign; equivalent
-            mutants are judged against the golden trace instead of
-            simulated, duplicates clone their representative's
-            verdict.  Reports stay field-identical to an unpruned run
-            (RTL validation is never pruned).
 
-    Each campaign's flow (characterise + insert + abstract + inject)
-    and golden trace are prepared in the parent, and its shards are
-    submitted to the one shared :class:`CampaignScheduler` **as soon
-    as that campaign is ready** -- the pool chews earlier campaigns'
-    shards while later ones still prepare, and the shared queue lets
-    short campaigns backfill the slots long ones leave idle.  The pool
-    is spun up exactly once for the whole suite.
+    Each campaign is exactly the standalone pattern: its flow
+    (characterise + insert + abstract + inject), then
+    :func:`~repro.mutation.campaign.run_campaign` with the module-aware
+    static prune plan, then -- with ``rtl_validation`` --
+    ``validate_at_rtl``, all on the one shared
+    :class:`CampaignScheduler`.  The pool is spun up exactly once for
+    the whole suite.
 
     Returns:
         A :class:`SuiteResult`.  The per-campaign reports are
@@ -701,8 +596,9 @@ def run_benchmark_suite(
     """
     from repro.flow import run_flow
     from repro.ips import IpSpec, case_study, rebuild_recipe
+    from repro.lint.mutants import plan_pruning
 
-    from .rtl_validation import prepare_rtl_validation
+    from .rtl_validation import validate_at_rtl
 
     started = time.perf_counter()
     resolved: "list[IpSpec]" = [
@@ -715,72 +611,16 @@ def run_benchmark_suite(
         if sensor not in ("razor", "counter"):
             raise ValueError(f"unknown sensor type {sensor!r}")
 
-    campaign_started = time.perf_counter()
-
-    def _absorb(job, outcomes, finished_at: "float | None" = None,
-                write: bool = True) -> None:
-        if write:
-            # Fresh shard: attach any deferred duplicate clones before
-            # write-back so the clones earn their own cache entries.
-            # (Replayed batches arrive with write=False and already
-            # contain every prepare-time clone.)
-            outcomes = job.expand(outcomes)
-            job.write_back(cache, outcomes)
-        job.absorb_shard(outcomes, progress)
-        if job.complete:
-            job.seconds = (
-                finished_at if finished_at is not None
-                else time.perf_counter()
-            ) - job.started
-
-    jobs: "list[_SuiteJob]" = []
-    rtl_jobs: "list[_RtlSuiteJob]" = []
-    futures: "dict[Future, object]" = {}
-    #: perf_counter stamped the moment each future resolves (pool
-    #: callback thread), so a campaign's duration is measured to its
-    #: last shard's *completion*, not to whenever the parent -- which
-    #: may be busy building a later campaign's flow -- drains it.
-    #: Closed once the drain loop exits: a done-callback firing after
-    #: that (cancelled future resolving during teardown) must not
-    #: mutate the stamp map the suite no longer reads.
-    completion = CompletionStamps()
-    seen: "set[tuple[str, str]]" = set()
-
-    def _absorb_done(block: bool) -> None:
-        if not futures:
-            return
-        done, _ = wait(
-            set(futures),
-            timeout=None if block else 0,
-            return_when=FIRST_COMPLETED,
-        )
-        for future in done:
-            _absorb(
-                futures.pop(future),
-                future.result(),
-                completion.pop(future),
-            )
-
-    def _submit_job(sched, job, shards) -> None:
-        # Submit immediately: the pool starts on this campaign's
-        # shards while the next campaign's flow and golden trace still
-        # prepare in the parent.  (Inline execution resolves at
-        # submission, so absorb right away.)
-        for shard in shards:
-            future = sched.submit(shard)
-            if future.done():
-                _absorb(job, future.result())
-            else:
-                futures[future] = job
-                future.add_done_callback(completion.stamp)
-
-    def _run_suite(sched) -> None:
+    reports: "dict[tuple[str, str], MutationReport]" = {}
+    rtl_reports: "dict" = {}
+    campaign_seconds = 0.0
+    # A passed scheduler defines the pool width; shard to fill it.
+    with _leased_scheduler(scheduler, workers) as sched:
         for spec in resolved:
             for sensor in sensor_types:
                 key = (spec.name, sensor)
-                if key in seen:
+                if key in reports:
                     continue
-                seen.add(key)
                 flow = (flows or {}).get(key)
                 if flow is None:
                     # Forward the kernel mode so the parent-side
@@ -791,64 +631,36 @@ def run_benchmark_suite(
                         spec, sensor, run_mutation=False,
                         rtl_exec_mode=rtl_exec_mode,
                     )
-                stimuli = spec.stimulus(
-                    mutation_cycles or spec.mutation_cycles
-                )
-                # Campaign time starts at its own preparation (golden
-                # trace + sharding), matching run_campaign.seconds --
-                # the flow build above is suite setup, not campaign.
-                job_started = time.perf_counter()
-                prune_plan = None
-                if lint_prune:
-                    from repro.lint.mutants import plan_pruning
-
-                    # The augmented IR module enables the
-                    # frozen-target fold analysis on top of the
-                    # scheduler-level criteria.
-                    prune_plan = plan_pruning(
-                        flow.injected, sensor,
-                        module=flow.augmented.module,
-                    )
-                prepared = prepare_campaign(
+                cycles = mutation_cycles or spec.mutation_cycles
+                campaign_started = time.perf_counter()
+                reports[key] = run_campaign(
                     # The GeneratedTlm (not a bare factory) keeps the
                     # golden fingerprintable for golden-trace caching.
                     flow.tlm_optimized,
                     flow.injected,
-                    stimuli,
+                    spec.stimulus(cycles),
                     ip_name=spec.name,
                     sensor_type=sensor,
-                    recovery=True,
-                    workers=sched.workers,
                     shard_size=shard_size,
                     batch_size=batch_size,
+                    scheduler=sched,
+                    progress=progress,
                     cache=cache,
-                    lint_prune=lint_prune,
-                    prune_plan=prune_plan,
+                    # The augmented IR module enables the frozen-target
+                    # fold analysis on top of the scheduler-level
+                    # criteria, exactly as run_flow plans it.
+                    prune_plan=plan_pruning(
+                        flow.injected, sensor, module=flow.augmented.module
+                    ),
                 )
-                job = _SuiteJob(
-                    key=key,
-                    prepared=prepared,
-                    tracker=_CampaignTracker(prepared),
-                    started=job_started,
-                )
-                jobs.append(job)
-                if prepared.replayed_outcomes:
-                    # Replayed verdicts (cache hits + statically
-                    # pruned) are already in the cache -- absorb
-                    # without writing them back.
-                    _absorb(job, prepared.replayed_outcomes, write=False)
-                _submit_job(sched, job, prepared.shards)
-
                 if rtl_validation:
                     # Honour the suite-wide cycle override: a quick
                     # `--cycles 4` suite must not pay full-length RTL
                     # simulation per mutant behind the user's back.
                     rtl_stimuli = spec.stimulus(
-                        rtl_validation_cycles or mutation_cycles
-                        or spec.mutation_cycles
+                        rtl_validation_cycles or cycles
                     )
-                    rtl_started = time.perf_counter()
-                    rtl_prepared = prepare_rtl_validation(
+                    rtl_reports[key] = validate_at_rtl(
                         flow.augmented,
                         flow.injected.mutants,
                         stimuli=rtl_stimuli,
@@ -856,52 +668,11 @@ def run_benchmark_suite(
                         ip_name=spec.name,
                         exec_mode=rtl_exec_mode,
                         rebuild=rebuild_recipe(spec),
-                        workers=sched.workers,
                         shard_size=shard_size,
+                        scheduler=sched,
                         cache=cache,
                     )
-                    rtl_job = _RtlSuiteJob(
-                        key=key, prepared=rtl_prepared, started=rtl_started
-                    )
-                    rtl_jobs.append(rtl_job)
-                    if rtl_prepared.cached_outcomes:
-                        _absorb(
-                            rtl_job, rtl_prepared.cached_outcomes,
-                            write=False,
-                        )
-                    _submit_job(sched, rtl_job, rtl_prepared.shards)
-                # Keep progress live and per-campaign timing honest:
-                # drain whatever finished while this campaign prepared.
-                _absorb_done(block=False)
-        while futures:
-            _absorb_done(block=True)
-
-    # A passed scheduler defines the pool width; shard to fill it.
-    with _leased_scheduler(scheduler, workers) as sched:
-        try:
-            _run_suite(sched)
-        except BaseException:
-            # A raising progress callback (or any mid-suite failure)
-            # must not leave orphan futures behind on a *shared* pool:
-            # cancel what never started, drain what is in flight, so
-            # the next suite on the same scheduler starts clean.
-            for future in futures:
-                future.cancel()
-            if futures:
-                wait(set(futures))
-            raise
-        finally:
-            completion.close()
-    campaign_seconds = time.perf_counter() - campaign_started
-
-    reports = {
-        job.key: job.prepared.build_report(job.outcomes, seconds=job.seconds)
-        for job in jobs
-    }
-    rtl_reports = {
-        job.key: job.prepared.build_report(job.outcomes, seconds=job.seconds)
-        for job in rtl_jobs
-    }
+                campaign_seconds += time.perf_counter() - campaign_started
     return SuiteResult(
         reports=reports,
         seconds=time.perf_counter() - started,

@@ -24,7 +24,6 @@ from .clock import metadata_wall_clock
 from .metrics import REGISTRY, MetricsRegistry, absorb_shard_counters
 from .tracer import (
     TRACER,
-    CompletionStamps,
     ShardCapture,
     Tracer,
     active_capture,
@@ -40,7 +39,6 @@ from .tracer import (
 __all__ = [
     "REGISTRY",
     "TRACER",
-    "CompletionStamps",
     "MetricsRegistry",
     "ShardCapture",
     "Tracer",

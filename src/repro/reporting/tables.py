@@ -92,7 +92,8 @@ def mutation_summary_pairs(report) -> "list[tuple[str, object]]":
             "golden trace",
             "replayed from cache" if golden_hit else "simulated (stored)",
         ))
-    if getattr(report, "pruned_equivalent", None) is not None:
+    if getattr(report, "pruned_equivalent", None) or \
+            getattr(report, "pruned_duplicate", None):
         pairs.append((
             "static prune",
             f"{report.pruned_equivalent} equivalent / "

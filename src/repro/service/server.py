@@ -76,7 +76,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.faults import fault_point
 from repro.mutation import CampaignScheduler, prepare_campaign
 from repro.mutation.placement import PlacementLostError
-from repro.mutation.scheduler import stream_shard_batches
+from repro.mutation.scheduler import merge_shard_obs, stream_shard_batches
 from repro.obs import REGISTRY, TRACER, trace_span
 
 from . import api
@@ -534,19 +534,11 @@ class CampaignService:
                     cache=self.cache,
                 )
                 abort = _JobAbort(spec.abort_policy(), cancel)
-                outcomes: "list" = []
-                obs_counters: "dict[str, int]" = {}
+                batches: "list" = []
                 for batch, snapshot in stream_shard_batches(
                     self.fleet, prepared, abort=abort, cache=self.cache,
                 ):
-                    outcomes.extend(batch)
-                    payload = getattr(batch, "obs", None) or {}
-                    for name, value in sorted(
-                        (payload.get("counters") or {}).items()
-                    ):
-                        obs_counters[name] = (
-                            obs_counters.get(name, 0) + value
-                        )
+                    batches.append(batch)
                     self._post(self._publish, job_id,
                                api.shard_event(batch))
                     self._post(self._publish, job_id,
@@ -555,10 +547,10 @@ class CampaignService:
                     if plan is not None:
                         self._crash(plan)
                 report = prepared.build_report(
-                    outcomes, seconds=time.perf_counter() - started
+                    [o for batch in batches for o in batch],
+                    seconds=time.perf_counter() - started,
                 )
-                if obs_counters:
-                    report.obs = {"counters": obs_counters}
+                report.obs = merge_shard_obs(batches)
             status = "aborted" if cancel.is_set() else "done"
             self._post(self._finish, job_id, status,
                        report=api.encode_report(report))

@@ -36,6 +36,7 @@ from repro.abstraction import MutantSpec, generate_tlm
 from repro.faults import FaultPlan, active_plan
 from repro.flow import run_flow
 from repro.ips import CASE_STUDIES, case_study
+from repro.lint import PrunePlan
 from repro.mutation import (
     GoldenTrace,
     ResultCache,
@@ -70,7 +71,9 @@ _case_cache: dict = {}
 
 def case_campaign(ip, sensor):
     """(flow, stimuli, serial baseline report) for one IP x sensor,
-    computed once per test session."""
+    memoised across tests.  The baseline executes every
+    mutant (an empty prune plan), so each batched -- and statically
+    pruned -- run is checked against plain serial execution."""
     key = (ip, sensor)
     if key not in _case_cache:
         spec = case_study(ip)
@@ -79,6 +82,7 @@ def case_campaign(ip, sensor):
         baseline = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
             ip_name=ip, sensor_type=sensor, workers=1,
+            prune_plan=PrunePlan(total=len(flow.injected.mutants)),
         )
         _case_cache[key] = (flow, stim, baseline)
     return _case_cache[key]
@@ -486,12 +490,12 @@ class TestInterplay:
         report = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
             ip_name="dsp", sensor_type=sensor,
-            batch_size=4, lint_prune=True, prune_plan=plan,
+            batch_size=4, prune_plan=plan,
         )
         assert_reports_identical(report, baseline)
-        # Prune accounting is present either way; when the analyzer
-        # found duplicates, their clones expanded off *batched* shard
-        # results without changing a field.
+        # Prune accounting is always present; when the analyzer found
+        # duplicates, their clones expanded off *batched* shard results
+        # without changing a field.
         assert report.pruned_equivalent is not None
         assert report.pruned_duplicate is not None
 
@@ -520,11 +524,12 @@ class TestInterplay:
         assert plan.duplicate_of  # the fixture must actually defer
 
         baseline = run_campaign(
-            golden, injected, stim, sensor_type="counter"
+            golden, injected, stim, sensor_type="counter",
+            prune_plan=PrunePlan(total=len(injected.mutants)),
         )
         report = run_campaign(
             golden, injected, stim, sensor_type="counter",
-            batch_size=4, lint_prune=True, prune_plan=plan,
+            batch_size=4, prune_plan=plan,
         )
         assert_reports_identical(report, baseline)
         assert report.pruned_duplicate == len(plan.duplicate_of)

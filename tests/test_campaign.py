@@ -15,7 +15,6 @@ from repro.mutation import (
     compute_golden_trace,
     inject_mutants,
     run_campaign,
-    run_mutation_analysis,
     shard_indices,
 )
 from repro.mutation.analysis import _run_razor_mutant
@@ -119,11 +118,11 @@ class TestDeterminism:
         injected = inject_mutants(aug)
         golden = golden_tlm("razor")
         stim = stimulus(20)
-        serial = run_mutation_analysis(
+        serial = run_campaign(
             lambda: golden.instantiate(), injected, stim,
             sensor_type="razor",
         )
-        parallel = run_mutation_analysis(
+        parallel = run_campaign(
             lambda: golden.instantiate(), injected, stim,
             sensor_type="razor", workers=2,
         )
@@ -157,7 +156,7 @@ class TestAmortisation:
             calls.append(1)
             return golden.instantiate()
 
-        report = run_mutation_analysis(
+        report = run_campaign(
             factory, injected, stimulus(20), sensor_type="razor"
         )
         assert report.total > 1       # several mutants ...

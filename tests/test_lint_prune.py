@@ -1,9 +1,10 @@
 """Tests for static mutant pruning (:mod:`repro.lint.mutants`).
 
-The contract under test is the ISSUE acceptance bar: with
-``lint_prune=True`` every report stays **field-identical** to the
-unpruned run -- pruned mutants are counted and judged, never dropped
--- while the executed-mutant set measurably shrinks.  Coverage:
+Every campaign is statically pruned; the contract under test is that
+every report stays **field-identical** to an unpruned run (an empty
+``PrunePlan`` -- the only off switch) -- pruned mutants are counted
+and judged, never dropped -- while the executed-mutant set measurably
+shrinks.  Coverage:
 
 * plan-level classification (``hf-first-tick`` is exactly one third
   of every Counter table; Razor tables have no equivalents at the
@@ -17,15 +18,14 @@ unpruned run -- pruned mutants are counted and judged, never dropped
 * the deferred-duplicate clone path (representative executes, clones
   attach at shard completion) via an ``hf_ratio=2`` Counter build that
   actually produces fingerprint collisions;
-* multi-worker / shared-pool runs (:func:`run_benchmark_suite`) with
-  pruning on.
+* multi-worker / shared-pool runs (:func:`run_benchmark_suite`).
 """
 
 import pytest
 
 from repro.flow import build_augmented, run_flow
 from repro.ips import CASE_STUDIES, case_study
-from repro.lint import plan_pruning
+from repro.lint import PrunePlan, plan_pruning
 from repro.lint.mutants import frozen_signal_names
 from repro.mutation import (
     CampaignScheduler,
@@ -48,6 +48,17 @@ def _flow(ip, sensor, **kw):
 def _campaign_inputs(flow):
     stimuli = flow.spec.stimulus(flow.spec.mutation_cycles)
     return flow.tlm_optimized, flow.injected, stimuli
+
+
+def _unpruned(flow, **kw):
+    """The flow's campaign with pruning switched off (an empty plan):
+    every mutant executes."""
+    golden, injected, stimuli = _campaign_inputs(flow)
+    return run_campaign(
+        golden, injected, stimuli,
+        ip_name=flow.spec.name, sensor_type=flow.sensor_type,
+        prune_plan=PrunePlan(total=len(injected.mutants)), **kw
+    )
 
 
 class TestPlan:
@@ -97,15 +108,15 @@ class TestReportEquality:
     @pytest.mark.parametrize("ip", IPS)
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_prune_on_off_field_identical(self, ip, sensor):
-        off = _flow(ip, sensor).mutation
-        on = _flow(ip, sensor, lint_prune=True).mutation
+        on = _flow(ip, sensor).mutation
+        off = _unpruned(_flow(ip, sensor, run_mutation=False))
         assert on == off
         assert on.outcomes == off.outcomes
         assert [o.index for o in on.outcomes] == list(range(off.total))
-        # Accounting: off-run carries no counters, on-run carries the
-        # plan-level ones.
-        assert off.pruned_equivalent is None
-        assert off.pruned_duplicate is None
+        # Accounting: the empty plan prunes nothing, the flow's plan
+        # carries the plan-level counts.
+        assert off.pruned_equivalent == 0
+        assert off.pruned_duplicate == 0
         expected = off.total // 3 if sensor == "counter" else 0
         assert on.pruned_equivalent == expected
         assert on.pruned_duplicate == 0
@@ -118,8 +129,7 @@ class TestReportEquality:
         )
         prepared = prepare_campaign(
             golden, injected, stimuli,
-            ip_name="filter", sensor_type="counter",
-            lint_prune=True, prune_plan=plan,
+            ip_name="filter", sensor_type="counter", prune_plan=plan,
         )
         total = len(injected.mutants)
         executed = sum(len(s.indices) for s in prepared.shards)
@@ -130,18 +140,17 @@ class TestReportEquality:
 
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_multi_worker_pruned_run_identical(self, sensor):
-        off = _flow("dsp", sensor).mutation
-        on = _flow("dsp", sensor, lint_prune=True, workers=2,
-                   shard_size=5).mutation
+        off = _unpruned(_flow("dsp", sensor, run_mutation=False))
+        on = _flow("dsp", sensor, workers=2, shard_size=5).mutation
         assert on == off
 
 
 class TestCacheInterplay:
     def test_cold_pruned_seeds_warm_unpruned(self):
         cache = ResultCache(None)
-        cold = _flow("dsp", "counter", lint_prune=True,
-                     cache=cache).mutation
-        warm = _flow("dsp", "counter", cache=cache).mutation
+        flow = _flow("dsp", "counter", cache=cache)
+        cold = flow.mutation
+        warm = _unpruned(flow, cache=cache)
         assert warm == cold
         # Synthesised and cloned verdicts were written back, so the
         # unpruned replay never simulates anything.
@@ -150,9 +159,10 @@ class TestCacheInterplay:
 
     def test_cold_unpruned_seeds_warm_pruned(self):
         cache = ResultCache(None)
-        cold = _flow("dsp", "counter", cache=cache).mutation
-        warm = _flow("dsp", "counter", lint_prune=True,
-                     cache=cache).mutation
+        cold = _unpruned(
+            _flow("dsp", "counter", run_mutation=False), cache=cache
+        )
+        warm = _flow("dsp", "counter", cache=cache).mutation
         assert warm == cold
         assert warm.cache_hits == warm.total
         # Plan-level counters: a fully-warm run still reports the
@@ -211,8 +221,8 @@ class TestDeferredDuplicates:
                 workers=workers, shard_size=shard_size, **kw
             )
 
-        off = run()
-        on = run(lint_prune=True, prune_plan=plan)
+        off = run(prune_plan=PrunePlan(total=len(injected.mutants)))
+        on = run(prune_plan=plan)
         assert on == off
         assert on.outcomes == off.outcomes
         assert on.pruned_equivalent == 9
@@ -225,7 +235,7 @@ class TestDeferredDuplicates:
         cold = run_campaign(
             golden, injected, stimuli,
             ip_name="dsp-hf2", sensor_type="counter",
-            cache=cache, lint_prune=True, prune_plan=plan,
+            cache=cache, prune_plan=plan,
         )
         # 27 mutants, 9 equivalents + 9 duplicate clones pruned: only
         # 9 representatives executed.
@@ -233,6 +243,7 @@ class TestDeferredDuplicates:
         warm = run_campaign(
             golden, injected, stimuli,
             ip_name="dsp-hf2", sensor_type="counter", cache=cache,
+            prune_plan=PrunePlan(total=len(injected.mutants)),
         )
         assert warm == cold
         assert warm.cache_hits == 27
@@ -241,14 +252,18 @@ class TestDeferredDuplicates:
 class TestSuite:
     def test_benchmark_suite_prune_identical(self):
         with CampaignScheduler(workers=2) as scheduler:
-            off = run_benchmark_suite(
+            on = run_benchmark_suite(
                 IPS, SENSORS, scheduler=scheduler
             )
-            on = run_benchmark_suite(
-                IPS, SENSORS, scheduler=scheduler, lint_prune=True
-            )
-        assert set(on.reports) == set(off.reports)
-        for key, report in off.reports.items():
+            off = {
+                (ip, sensor): _unpruned(
+                    _flow(ip, sensor, run_mutation=False),
+                    scheduler=scheduler,
+                )
+                for ip in IPS for sensor in SENSORS
+            }
+        assert set(on.reports) == set(off)
+        for key, report in off.items():
             assert on.reports[key] == report
             assert on.reports[key].outcomes == report.outcomes
             expected = (
@@ -261,11 +276,9 @@ class TestSuite:
         with CampaignScheduler(workers=2) as scheduler:
             cold = run_benchmark_suite(
                 ["dsp"], SENSORS, scheduler=scheduler, cache=cache,
-                lint_prune=True,
             )
             warm = run_benchmark_suite(
                 ["dsp"], SENSORS, scheduler=scheduler, cache=cache,
-                lint_prune=True,
             )
         for key, report in cold.reports.items():
             assert warm.reports[key] == report
@@ -281,7 +294,7 @@ class TestSummaryRow:
     def test_summary_pairs_show_prune_row_when_counted(self):
         from repro.reporting import mutation_summary_pairs
 
-        report = _flow("dsp", "counter", lint_prune=True).mutation
+        report = _flow("dsp", "counter").mutation
         pairs = dict(mutation_summary_pairs(report))
         assert pairs["static prune"] == (
             "9 equivalent / 0 duplicate (not simulated)"
@@ -290,5 +303,5 @@ class TestSummaryRow:
     def test_summary_pairs_silent_without_pruning(self):
         from repro.reporting import mutation_summary_pairs
 
-        report = _flow("dsp", "counter").mutation
+        report = _unpruned(_flow("dsp", "counter", run_mutation=False))
         assert "static prune" not in dict(mutation_summary_pairs(report))

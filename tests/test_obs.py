@@ -10,9 +10,6 @@ Acceptance contract:
   with the tracer on compare field-for-field equal to reports run
   with it off (the full IP x sensor x workers x batch sweep is gated
   in ``benchmarks/bench_obs.py``; a smoke slice runs here);
-* :class:`repro.obs.CompletionStamps` rejects late
-  ``add_done_callback`` stamps after ``close()`` -- the scheduler
-  drain-loop fix;
 * the metrics registry renders valid Prometheus text with at least
   10 well-known series, and ``GET /metrics`` serves it raw;
 * ``GET /healthz`` carries the compact metrics snapshot (per-worker
@@ -29,7 +26,6 @@ Acceptance contract:
 import http.client
 import json
 import threading
-from concurrent.futures import Future
 
 import pytest
 
@@ -39,7 +35,6 @@ from repro.mutation import run_campaign
 from repro.obs import (
     REGISTRY,
     TRACER,
-    CompletionStamps,
     MetricsRegistry,
     ShardCapture,
     absorb_shard_counters,
@@ -200,42 +195,6 @@ class TestValidateChromeTrace:
         assert "bad dur" in text
         assert "unknown phase" in text
         assert "unclosed B" in text
-
-
-# ----------------------------------------------------------------------
-# CompletionStamps (the scheduler drain-loop fix)
-# ----------------------------------------------------------------------
-
-class TestCompletionStamps:
-    def test_stamp_and_pop(self):
-        stamps = CompletionStamps()
-        assert stamps.stamp("k") is True
-        first = stamps.pop("k")
-        assert isinstance(first, float)
-        assert stamps.pop("k") is None
-
-    def test_first_stamp_wins(self):
-        stamps = CompletionStamps()
-        stamps.stamp("k")
-        stamps.stamp("k")
-        assert len(stamps) == 1
-
-    def test_late_callback_after_close_is_a_noop(self):
-        # The regression: an executor may fire add_done_callback after
-        # the drain loop exited; the old bare dict kept accepting and
-        # leaking those entries.
-        stamps = CompletionStamps()
-        done = Future()
-        done.add_done_callback(stamps.stamp)
-        done.set_result(None)
-        assert len(stamps) == 1
-        stamps.close()
-        assert stamps.closed and len(stamps) == 0
-        late = Future()
-        late.add_done_callback(stamps.stamp)
-        late.set_result(None)  # fires stamps.stamp(late) -- post-close
-        assert stamps.stamp("direct") is False
-        assert len(stamps) == 0
 
 
 # ----------------------------------------------------------------------

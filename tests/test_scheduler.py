@@ -220,16 +220,40 @@ class TestBenchmarkSuite:
         for ip in ips:
             flow = prepared_flows[(ip, "razor")]
             stim = case_study(ip).stimulus(REDUCED_CYCLES)
+            # Same pool width as the suite, so the shard counters in
+            # ``obs`` line up too.
             baseline = run_campaign(
                 flow.golden_factory(), flow.injected, stim,
-                ip_name=ip, sensor_type="razor", workers=1,
+                ip_name=ip, sensor_type="razor", workers=workers,
             )
-            assert_reports_match(suite.reports[(ip, "razor")], baseline)
+            report = suite.reports[(ip, "razor")]
+            assert_reports_match(report, baseline)
+            assert report.obs is not None
+            assert report.obs == baseline.obs
         assert suite.total_mutants == sum(
             r.total for r in suite.reports.values()
         )
         assert suite.workers == workers
         assert suite.campaign_seconds <= suite.seconds
+
+    def test_throughput_counts_executed_mutants_only(self, flows):
+        # dsp/counter has 27 mutants, 9 of them statically pruned
+        # (hf-first-tick): its shards execute 18 at TLM, while RTL
+        # validation re-runs all 27.  Pruned verdicts never touch the
+        # pool, so they must not count as executed.
+        key = ("dsp", "counter")
+        suite = run_benchmark_suite(
+            ["dsp"], ("counter",), workers=1,
+            mutation_cycles=REDUCED_CYCLES, flows={key: flows(*key)},
+            rtl_validation=True, rtl_validation_cycles=8,
+        )
+        report = suite.reports[key]
+        assert report.total == 27
+        assert report.pruned_equivalent == 9
+        assert report.obs["counters"]["mutants"] == 18
+        assert suite.rtl_reports[key].total == 27
+        assert suite.mutants_per_second * suite.campaign_seconds == \
+            pytest.approx(18 + 27)
 
     def test_suite_rejects_unknown_sensor_type(self):
         with pytest.raises(ValueError, match="unknown sensor type"):

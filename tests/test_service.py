@@ -92,6 +92,27 @@ def _server(flows, *, seed_all=False, **kwargs):
     return ServiceServer(service)
 
 
+def _hold_jobs_until_watched(service, timeout=60.0):
+    """Start each job only once a client has subscribed to its event
+    stream.  A job that finishes before its watcher attaches leaves
+    only the collapsed terminal event, so without this hold whether a
+    stream shows live progress depends on how fast the job runs."""
+    watched: "dict[str, threading.Event]" = {}
+    subscribe, run_job = service.subscribe, service._run_job
+
+    def subscribe_and_release(job_id):
+        subscription = subscribe(job_id)
+        watched.setdefault(job_id, threading.Event()).set()
+        return subscription
+
+    def run_once_watched(record):
+        watched.setdefault(record.id, threading.Event()).wait(timeout)
+        run_job(record)
+
+    service.subscribe = subscribe_and_release
+    service._run_job = run_once_watched
+
+
 def _client(server, **kw):
     host, port = server.address
     kw.setdefault("timeout", 60.0)
@@ -227,6 +248,7 @@ class TestServiceRoundTrip:
         (here 6: every IP x sensor type), each receiving a report
         field-for-field equal to the direct run."""
         with _server(flows, seed_all=True, max_jobs=6) as server:
+            _hold_jobs_until_watched(server.service)
             barrier = threading.Barrier(len(ALL_CAMPAIGNS))
             results = {}
             errors = []
@@ -258,12 +280,11 @@ class TestServiceRoundTrip:
             for key, (end, events) in results.items():
                 assert end["status"] == "done"
                 assert decode_report(end["report"]) == baselines[key]
-            # A watcher attaching after its (fast) job already ended
-            # sees just the collapsed terminal event, so live progress
-            # is asserted across the whole fleet, not per stream.
-            assert any(
-                e["type"] == "progress"
-                for _, events in results.values() for e in events
+            # Every job waited for its watcher, so every stream
+            # carries live progress.
+            assert all(
+                any(e["type"] == "progress" for e in events)
+                for _, events in results.values()
             )
             health = _client(server).health()
             assert health["jobs"]["done"] == len(ALL_CAMPAIGNS)
@@ -351,6 +372,7 @@ class TestCancellation:
         # shard boundaries for the cancellation to land on.
         cycles = case_study("filter").mutation_cycles
         with _server(flows) as server:
+            _hold_jobs_until_watched(server.service)
             client = _client(server)
             record = client.submit({"ip": "filter", "sensor": "razor",
                                     "cycles": cycles, "shard_size": 1})
