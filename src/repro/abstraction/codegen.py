@@ -288,87 +288,6 @@ class _Generator:
         return self._wake_mask.get(id(obj), 0)
 
     # ------------------------------------------------------------------
-    # Batched-execution safety analysis
-    # ------------------------------------------------------------------
-
-    def _late_wake_closure(self) -> int:
-        """Bitmask of combinational processes that can (transitively)
-        re-execute after the pre-HF delta loop of the dual-clock
-        scheduler: processes woken by falling-edge commits or by the
-        window-close sensor commits, plus everything those wake in
-        turn."""
-        from repro.rtl.ir import written_arrays
-
-        seed = 0
-        for proc in self.fall_procs:
-            for sig in process_writes(proc):
-                seed |= self._wake_of(sig)
-            for arr in written_arrays(proc.stmts):
-                seed |= self._wake_of(arr)
-        for tap in self.counter_taps:
-            seed |= self._wake_of(tap.meas_val)
-            seed |= self._wake_of(tap.out_ok)
-        closure = seed
-        while True:
-            grown = closure
-            for index, proc in enumerate(self.comb_procs):
-                if (closure >> index) & 1:
-                    for sig in process_writes(proc):
-                        grown |= self._wake_of(sig)
-                    for arr in written_arrays(proc.stmts):
-                        grown |= self._wake_of(arr)
-            if grown == closure:
-                return closure
-            closure = grown
-
-    def _batch_safe_targets(self) -> "dict[str, str]":
-        """Mutant targets whose end-of-cycle value compare is an exact
-        divergence detector, mapped to their attribute name.
-
-        A batched sweep (:mod:`repro.mutation.batched`) keeps a mutant
-        attached to the base simulation until its target's committed
-        value changes across a cycle boundary.  That compare only
-        misses a divergence when the target can change *and revert*
-        within one cycle, so:
-
-        * a **razor** register is safe when every writer is a
-          rising-edge process (a single commit point per cycle; the
-          razor-bank restore never fires on the base model);
-        * a **counter** endpoint is safe when every writer is
-          combinational and none of them sits in the late-wake closure
-          (it then settles in the pre-HF delta and cannot be re-run --
-          and thus reverted -- by window-close or falling-edge events).
-
-        Targets absent from the map run the plain serial path inside
-        batched mode.
-        """
-        safe: "dict[str, str]" = {}
-        rise_ids = {id(p) for p in self.rise_procs}
-        writers: "dict[int, list]" = {}
-        for _, proc in self.module.all_processes():
-            if isinstance(proc, (SyncProcess, CombProcess)):
-                for sig in process_writes(proc):
-                    writers.setdefault(id(sig), []).append(proc)
-        for name in sorted(self.mutant_reg_targets):
-            sig = self.module.find_signal(name)
-            if all(id(p) in rise_ids for p in writers.get(id(sig), [])):
-                safe[name] = self.namer.signal(sig)
-        if self.mutant_endpoint_targets:
-            late = self._late_wake_closure()
-            comb_index = {id(p): i for i, p in enumerate(self.comb_procs)}
-            for name in sorted(self.mutant_endpoint_targets):
-                sig = self.module.find_signal(name)
-                ok = True
-                for proc in writers.get(id(sig), []):
-                    index = comb_index.get(id(proc))
-                    if index is None or (late >> index) & 1:
-                        ok = False
-                        break
-                if ok:
-                    safe[name] = self.namer.signal(sig)
-        return safe
-
-    # ------------------------------------------------------------------
     # Mutant bookkeeping
     # ------------------------------------------------------------------
 
@@ -590,10 +509,6 @@ class _Generator:
         out.emit(f"LUT_THRESHOLDS = {thresholds!r}", 1)
         tap_order = [t.register.name for t in self.counter_taps]
         out.emit(f"COUNTER_TAP_ORDER = {tap_order!r}", 1)
-        if self.inject:
-            out.emit(
-                f"BATCH_SAFE_TARGETS = {self._batch_safe_targets()!r}", 1
-            )
         out.emit("")
 
     def _emit_init(self, out: _Emitter) -> None:

@@ -16,21 +16,17 @@ Commands
     ``--format json`` emits the machine-readable reports (findings,
     severity counts, waived entries) instead of the text listing.
 ``mutate <ip> <sensor> [--workers N] [--shard-size M] [--cycles C]
-[--batch K] [--cache-dir DIR] [--no-cache] [--trace FILE]``
+[--cache-dir DIR] [--no-cache] [--trace FILE]``
     Run only the mutation campaign through the sharded engine
     (:mod:`repro.mutation.campaign`).  ``--workers`` distributes the
     mutant shards across worker processes (the report is
     deterministic for any worker count); ``--shard-size`` overrides
     the automatic one-shard-per-worker batching; ``--cycles``
-    overrides the testbench length; ``--batch`` executes each shard
-    as batched multi-mutant sweeps of K mutants sharing one base
-    simulation with fork-on-divergence and early-kill
-    (:mod:`repro.mutation.batched`; the report stays
-    field-identical); ``--trace FILE`` records the run with the span tracer
-    (:mod:`repro.obs`) and writes a Chrome/Perfetto ``trace.json``
-    (load it at ``chrome://tracing`` or https://ui.perfetto.dev; the
-    report stays field-identical).  Prints
-    campaign throughput (mutants/sec) alongside the Table-5
+    overrides the testbench length; ``--trace FILE`` records the run
+    with the span tracer (:mod:`repro.obs`) and writes a
+    Chrome/Perfetto ``trace.json`` (load it at ``chrome://tracing`` or
+    https://ui.perfetto.dev; the report stays field-identical).
+    Prints campaign throughput (mutants/sec) alongside the Table-5
     percentages.  Timed-out (stall-budget-truncated) runs are
     excluded from every percentage and called out separately in the
     summary.  The static mutant analyzer (:mod:`repro.lint.mutants`)
@@ -78,13 +74,10 @@ Campaign service (see :mod:`repro.service` and ``docs/service.md``)
     var).  ``--trace`` enables the span tracer server-side, so every
     job records spans exportable via ``repro trace`` (reports stay
     field-identical; see ``docs/observability.md``).
-``submit <ip> <sensor> [--cycles C] [--shard-size M] [--batch K]
-[--no-recovery] [--stop-on-survivor] [--score-threshold X] [--watch]
-[--host] [--port]``
+``submit <ip> <sensor> [--cycles C] [--shard-size M] [--no-recovery]
+[--stop-on-survivor] [--score-threshold X] [--watch] [--host] [--port]``
     Submit one campaign job; prints the job id (``--watch`` then
-    streams it to completion like ``repro watch``).  ``--batch``
-    executes the job's shards as batched multi-mutant sweeps (the
-    report stays field-identical).
+    streams it to completion like ``repro watch``).
 ``status [job_id] [--server] [--host] [--port]``
     One job's record and report summary, or -- without an id -- a
     table of every job the service knows.  ``--server`` renders the
@@ -244,7 +237,6 @@ def _cmd_mutate(args) -> int:
         mutation_cycles=args.cycles,
         workers=args.workers,
         shard_size=args.shard_size,
-        batch_size=args.batch,
         cache=_resolve_cache(args),
     )
     report = result.mutation
@@ -323,7 +315,6 @@ def _cmd_bench(args) -> int:
             sensors,
             workers=args.workers,
             shard_size=args.shard_size,
-            batch_size=args.batch,
             mutation_cycles=args.cycles,
             scheduler=scheduler,
             progress=progress,
@@ -650,7 +641,6 @@ def _cmd_submit(args) -> int:
         "sensor": args.sensor,
         "cycles": args.cycles,
         "shard_size": args.shard_size,
-        "batch_size": args.batch,
         "recovery": not args.no_recovery,
         "stop_on_survivor": args.stop_on_survivor,
         "score_threshold": args.score_threshold,
@@ -1023,11 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mutants per shard (default: auto)")
     p_mut.add_argument("--cycles", type=int, default=None,
                        help="testbench cycles (default: per-IP value)")
-    p_mut.add_argument("--batch", type=int, default=None,
-                       help="mutants per batched sweep: one base "
-                            "simulation shared per K mutants with "
-                            "fork-on-divergence (default: serial, one "
-                            "simulation per mutant; report unchanged)")
     p_mut.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run with the span tracer and "
                             "write Chrome/Perfetto trace-event JSON "
@@ -1060,10 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="mutants per shard (default: auto)")
     p_bench.add_argument("--cycles", type=int, default=None,
                          help="testbench cycles (default: per-IP value)")
-    p_bench.add_argument("--batch", type=int, default=None,
-                         help="mutants per batched sweep in every "
-                              "campaign (default: serial; reports "
-                              "unchanged)")
     p_bench.add_argument("--no-progress", action="store_true",
                          help="suppress the live per-shard progress lines")
     p_bench.add_argument("--rtl-validation", action="store_true",
@@ -1162,10 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="testbench cycles (default: per-IP value)")
     p_submit.add_argument("--shard-size", type=int, default=None,
                           help="mutants per shard (default: auto)")
-    p_submit.add_argument("--batch", type=int, default=None,
-                          help="mutants per batched sweep in the job's "
-                               "shards (default: serial; report "
-                               "unchanged)")
     p_submit.add_argument("--no-recovery", action="store_true",
                           help="disable Razor recovery in the campaign")
     p_submit.add_argument("--stop-on-survivor", action="store_true",

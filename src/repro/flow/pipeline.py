@@ -148,7 +148,6 @@ def run_flow(
     rtl_validation_cycles: "int | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     scheduler=None,
     rtl_exec_mode: str = "compiled",
     cache=None,
@@ -166,10 +165,6 @@ def run_flow(
         workers / shard_size: forwarded to the sharded campaign engine
             (:mod:`repro.mutation.campaign`) *and* to the RTL
             validation shards.
-        batch_size: execute the TLM campaign's shards as batched
-            multi-mutant sweeps of this many mutants
-            (:mod:`repro.mutation.batched`); the report stays
-            field-identical to the serial default.
         scheduler: a :class:`repro.mutation.CampaignScheduler` letting
             many ``run_flow`` calls (and the RTL validation) share one
             persistent worker pool instead of paying a pool spin-up
@@ -285,7 +280,6 @@ def run_flow(
                 recovery=True,
                 workers=workers,
                 shard_size=shard_size,
-                batch_size=batch_size,
                 scheduler=scheduler,
                 cache=cache,
                 # The augmented IR enables the frozen-target fold

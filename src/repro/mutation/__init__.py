@@ -3,7 +3,7 @@
 Campaign execution goes through the sharded engine in
 :mod:`repro.mutation.campaign` and the streaming cross-IP scheduler in
 :mod:`repro.mutation.scheduler`: the golden stimulus run is memoised
-once per campaign (it is mutant-independent), mutants are batched into
+once per campaign (it is mutant-independent), mutants are grouped into
 shards so the generated-model source is compiled once per shard, and
 shards execute on a persistent :class:`CampaignScheduler` worker pool
 -- ``workers=1`` runs inline, ``workers=N`` shards across ``N``

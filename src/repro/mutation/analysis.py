@@ -117,10 +117,10 @@ class MutationReport:
     pruned_equivalent: "int | None" = field(default=None, compare=False)
     pruned_duplicate: "int | None" = field(default=None, compare=False)
     #: Aggregated observability data (:mod:`repro.obs`): per-campaign
-    #: shard-capture counters (batched forks, early kills, re-joins,
-    #: executed shard/mutant counts).  ``None`` unless at least one
-    #: shard carried a capture.  ``compare=False`` like ``seconds`` --
-    #: tracing on vs off must leave reports field-identical.
+    #: shard-capture counters (executed shard/mutant counts).  ``None``
+    #: unless at least one shard carried a capture.  ``compare=False``
+    #: like ``seconds`` -- tracing on vs off must leave reports
+    #: field-identical.
     obs: "dict | None" = field(default=None, compare=False, repr=False)
 
     @property
@@ -255,24 +255,9 @@ def compute_golden_trace(
 
 
 class RazorMutantJudge:
-    """Resumable per-cycle verdict accumulator for one Razor mutant.
-
-    The monolithic per-mutant loop is factored into observation
+    """Per-cycle verdict accumulator for one Razor mutant: observation
     (:meth:`observe`, one call per driven cycle) and finalisation
-    (:meth:`finish`), so the batched sweep
-    (:mod:`repro.mutation.batched`) can feed a mutant base-simulation
-    outputs while it is attached and its own outputs after it forks --
-    the judge cannot tell the difference, which is what makes batched
-    and serial verdicts field-identical.
-
-    :meth:`settled` reports when every verdict field is already fixed
-    (killed with its ``first_divergence``, error seen, and -- under
-    recovery -- the golden stream fully recovered), enabling the
-    early-kill cut: generated razor banks stall at most every other
-    cycle (one-cycle cooldown), so a settled run can never reach the
-    stall-budget timeout that the skipped tail would otherwise have to
-    rule out.
-    """
+    (:meth:`finish`)."""
 
     __slots__ = (
         "index", "spec", "golden", "recovery", "calls", "error_seen",
@@ -296,7 +281,7 @@ class RazorMutantJudge:
         #: the observed stream (incremental :func:`_is_subsequence`).
         self._sub_pos = 0
 
-    def observe(self, outs, functional=None) -> None:
+    def observe(self, outs) -> None:
         """Record one observed output vector (cycle ``self.calls``)."""
         golden = self.golden
         i = self.calls
@@ -309,25 +294,9 @@ class RazorMutantJudge:
                 self.first_divergence = i
                 self._cmp_done = True
         if self._sub_pos < len(golden.functional):
-            if functional is None:
-                functional = _functional(outs, golden.functional_ports)
+            functional = _functional(outs, golden.functional_ports)
             if functional == golden.functional[self._sub_pos]:
                 self._sub_pos += 1
-
-    def settled(self) -> bool:
-        """True once no future observation can change any verdict
-        field: the kill (and its ``first_divergence``) is recorded, the
-        error flag has risen, and -- when recovery is judged -- the
-        golden stream has already been recovered in full."""
-        return (
-            self.killed
-            and self._cmp_done
-            and self.error_seen
-            and (
-                not self.recovery
-                or self._sub_pos >= len(self.golden.functional)
-            )
-        )
 
     def finish(self, timed_out: bool):
         """Close the run and produce the :class:`MutantOutcome`."""
@@ -335,9 +304,7 @@ class RazorMutantJudge:
         killed = self.killed
         if not timed_out and self.calls != len(golden.full):
             # A completed run yields at least one output per stimulus;
-            # a short stream is itself an observable divergence.  An
-            # early-killed run is already killed, so the cut cannot
-            # reach here with ``killed`` unset.
+            # a short stream is itself an observable divergence.
             killed = True
         corrected = None
         if self.recovery and not timed_out:
@@ -367,13 +334,10 @@ class RazorMutantJudge:
 
 
 class CounterMutantJudge:
-    """Resumable per-cycle verdict accumulator for one Counter mutant.
+    """Per-cycle verdict accumulator for one Counter mutant.
 
     Counter campaigns have no stall handshake (one output per
     stimulus), so the judge is a plain fold over the output stream.
-    There is deliberately **no** early-kill analogue: ``meas_val``
-    reports the *last* non-zero measurement, so every remaining cycle
-    can still move the outcome.
     """
 
     __slots__ = (
@@ -394,14 +358,12 @@ class CounterMutantJudge:
         self.risen = False
         self.meas_val = None
 
-    def observe(self, outs, functional=None) -> None:
+    def observe(self, outs) -> None:
         """Record one observed output vector (cycle ``self.calls``)."""
         golden = self.golden
         i = self.calls
         self.calls = i + 1
-        if functional is None:
-            functional = _functional(outs, golden.functional_ports)
-        if functional != golden.functional[i]:
+        if _functional(outs, golden.functional_ports) != golden.functional[i]:
             if self.first_divergence is None:
                 self.first_divergence = i
             self.killed = True
@@ -443,27 +405,13 @@ def _drive_razor(
     stimuli,
     recovery_bit: int,
     judge: RazorMutantJudge,
-    *,
-    position: int = 0,
-    budget: "int | None" = None,
-    early_kill: bool = False,
 ) -> bool:
     """Drive a Razor mutant through the stall handshake, feeding every
     observed output to ``judge``.  Returns whether the stall budget
-    timed out.
-
-    ``position`` / ``budget`` resume a run mid-stream (a mutant forked
-    off a batched sweep at cycle ``position`` has already been judged
-    for the shared prefix and has ``position`` fewer budget units
-    left -- the prefix is stall-free, since a stall requires a razor
-    error and the base simulation never raises one).  With
-    ``early_kill`` the drive stops as soon as the judge is settled;
-    the run then did not time out by construction (see
-    :meth:`RazorMutantJudge.settled`).
-    """
+    timed out."""
     pending = stimuli
-    if budget is None:
-        budget = 3 * len(stimuli) + 8
+    position = 0
+    budget = 3 * len(stimuli) + 8
     prev_inputs = None
     stalled_next = False
     # A stall on the final stimulus still needs its re-presentation,
@@ -479,8 +427,6 @@ def _drive_razor(
         judge.observe(outs)
         stalled_next = bool(outs.get("razor_stall", 0))
         prev_inputs = inputs
-        if early_kill and judge.settled():
-            return False
     # Budget exhausted mid-stall: stimuli were never consumed, or a
     # trailing re-presentation was still pending.  That is a driver
     # timeout, not an observation -- the truncated tail must not count

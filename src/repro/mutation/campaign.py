@@ -9,7 +9,7 @@ source.  The engine amortises both:
 1. the golden trace is computed **once per campaign**
    (:func:`repro.mutation.analysis.compute_golden_trace`) and shipped
    to workers inside the shard payload;
-2. mutants are batched into **shards**; the generated source is
+2. mutants are grouped into **shards**; the generated source is
    compiled once per shard/worker process (the
    :meth:`GeneratedTlm.compiled_class` cache), so each mutant pays only
    object construction plus its own simulation;
@@ -102,13 +102,6 @@ class CampaignShard:
     sensor_type: str
     recovery: bool
     tap_order: "tuple[str, ...]"
-    #: Execution mode: ``"serial"`` runs one full simulation per
-    #: mutant; ``"batched"`` runs sweeps of ``batch_size`` mutants
-    #: sharing one base simulation with fork-on-divergence
-    #: (:mod:`repro.mutation.batched`).  Batched and serial shards
-    #: produce field-identical outcomes.
-    exec_strategy: str = "serial"
-    batch_size: "int | None" = None
     #: Record worker-side spans (:mod:`repro.obs`) during execution.
     #: Counters are collected regardless (cheap integer adds); spans
     #: only when the coordinator prepared the campaign with tracing
@@ -135,19 +128,11 @@ class CampaignShard:
         with shard_capture(self.trace) as capture:
             capture.count("shards", 1)
             capture.count("mutants", len(self.indices))
-            with shard_span(
-                "shard.execute",
-                mutants=len(self.indices),
-                strategy=self.exec_strategy,
-            ):
+            with shard_span("shard.execute", mutants=len(self.indices)):
                 outcomes = self._execute()
             return ShardResult(outcomes, obs=capture.payload())
 
     def _execute(self) -> "list":
-        if self.exec_strategy == "batched":
-            from .batched import run_batched_shard
-
-            return run_batched_shard(self)
         stimuli = list(self.stimuli)
         tap_order = list(self.tap_order)
         specs = self.injected.mutants
@@ -372,7 +357,6 @@ def prepare_campaign(
     tap_order: "list[str] | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     cache=None,
     prune_plan=None,
 ) -> PreparedCampaign:
@@ -387,10 +371,7 @@ def prepare_campaign(
     :class:`~repro.mutation.cache.ResultCache`) for already-known
     verdicts, and partitions the remaining mutant indices into
     :class:`CampaignShard` work units sized for ``workers`` /
-    ``shard_size``.  ``batch_size=K`` marks the shards for batched
-    execution (sweeps of K mutants sharing one base simulation --
-    :mod:`repro.mutation.batched`); verdicts and cache write-back keys
-    are identical either way.
+    ``shard_size``.
 
     The static mutant analyzer
     (:func:`repro.lint.mutants.plan_pruning`, or a precomputed
@@ -565,8 +546,6 @@ def prepare_campaign(
             sensor_type=sensor_type,
             recovery=recovery,
             tap_order=taps,
-            exec_strategy="batched" if batch_size else "serial",
-            batch_size=batch_size or None,
             trace=TRACER.enabled,
         )
         for indices in _shard_sequence(miss_indices, workers, shard_size)
@@ -604,7 +583,6 @@ def run_campaign(
     tap_order: "list[str] | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     scheduler=None,
     progress=None,
     cache=None,
@@ -624,12 +602,6 @@ def run_campaign(
         stimuli: per-cycle ``name -> int`` input vectors.
         workers / shard_size: shard sizing (``shard_size`` overrides
             the automatic one-shard-per-worker batching).
-        batch_size: execute each shard as batched sweeps of this many
-            mutants sharing one base simulation, with
-            fork-on-divergence and early-kill
-            (:mod:`repro.mutation.batched`); ``None`` keeps the
-            one-simulation-per-mutant serial path.  Verdicts are
-            field-identical either way.
         scheduler: a
             :class:`~repro.mutation.scheduler.CampaignScheduler` to
             reuse one persistent worker pool across many campaigns
@@ -657,9 +629,9 @@ def run_campaign(
         shards' summed obs counters in ``obs``.
 
     Determinism: the report is byte-identical on every scored field
-    for any ``workers`` / ``shard_size`` / ``batch_size`` /
-    ``scheduler`` combination, for any cache state (cold, warm, or
-    partial), and for any prune plan.
+    for any ``workers`` / ``shard_size`` / ``scheduler`` combination,
+    for any cache state (cold, warm, or partial), and for any prune
+    plan.
     """
     from .scheduler import (
         _ephemeral_width,
@@ -680,7 +652,6 @@ def run_campaign(
             tap_order=tap_order,
             workers=workers if scheduler is None else scheduler.workers,
             shard_size=shard_size,
-            batch_size=batch_size,
             cache=cache,
             prune_plan=prune_plan,
         )

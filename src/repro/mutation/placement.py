@@ -201,9 +201,8 @@ class LocalPoolPlacement(ShardPlacement):
     :class:`~repro.mutation.campaign.CampaignShard` and
     :class:`~repro.mutation.rtl_validation.RtlValidationShard` today.
     Shards flagged ``inline_only`` (an RTL shard carrying a live
-    :class:`~repro.sensors.insertion.AugmentedIP` or an opaque drive
-    callable, neither of which pickles) execute in the parent process
-    even when a pool exists.
+    :class:`~repro.sensors.insertion.AugmentedIP`, which does not
+    pickle) execute in the parent process even when a pool exists.
 
     The placement is **thread-safe**: many threads (the campaign
     service runs one per in-flight job) may submit shards to one

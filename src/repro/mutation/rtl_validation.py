@@ -37,17 +37,14 @@ ships one of two payloads:
   process, deterministic by construction) and serves every subsequent
   shard of that campaign from the memo;
 * the **live object** -- when the caller validates an ad-hoc augmented
-  design (no registry entry) or passes an opaque ``drive`` callable,
-  the shard is flagged ``inline_only`` and executes in the parent
-  process even on a multi-worker pool.
+  design (no registry entry), the shard is flagged ``inline_only`` and
+  executes in the parent process even on a multi-worker pool.
 
 Results are cached in the same
 :class:`~repro.mutation.cache.ResultCache` as the TLM campaign
 verdicts, keyed by :func:`repro.mutation.cache.rtl_entry_key`
 (structural RTL fingerprint, stimuli hash, cycle count, recovery
-value, mutant spec); caching needs the declarative ``stimuli`` form --
-an opaque ``drive`` callable cannot be fingerprinted and bypasses the
-cache.
+value, mutant spec).
 """
 
 from __future__ import annotations
@@ -128,10 +125,10 @@ def _rtl_delay_for(spec: MutantSpec, augmented: AugmentedIP) -> int:
 
 def _stimulus_driver(augmented: AugmentedIP, stimuli,
                      recovery_value: int = 0):
-    """The canonical testbench driver: poke the cycle's input vector
-    (plus the Razor recovery enable) and advance one clock.  Built
-    identically in the parent and in worker processes, so declarative
-    ``stimuli`` validation is location-independent."""
+    """The testbench driver: poke the cycle's input vector (plus the
+    Razor recovery enable) and advance one clock.  Built identically in
+    the parent and in worker processes, so validation is
+    location-independent."""
     input_ports = {p.name: p for p in augmented.module.inputs()}
     extra = {}
     if augmented.sensor_type == "razor" and \
@@ -211,9 +208,9 @@ class RtlValidationShard:
     """One schedulable batch of RTL-validation mutants.
 
     Picklable when it carries a ``rebuild`` recipe (registry IP name +
-    sensor type); otherwise it holds the live ``augmented`` object /
-    ``drive`` callable and is flagged ``inline_only`` so the scheduler
-    executes it in the parent process.
+    sensor type); otherwise it holds the live ``augmented`` object and
+    is flagged ``inline_only`` so the scheduler executes it in the
+    parent process.
     """
 
     indices: "tuple[int, ...]"
@@ -221,10 +218,9 @@ class RtlValidationShard:
     cycles: int
     exec_mode: str
     recovery_value: int
-    stimuli: "tuple[dict, ...] | None"        # None -> ``drive`` carried
+    stimuli: "tuple[dict, ...]"
     rebuild: "tuple[str, str] | None"         # (ip registry name, sensor)
     augmented: "AugmentedIP | None" = None
-    drive: "object | None" = None
 
     #: RTL shards never travel to remote worker daemons: the rebuild
     #: recipe references the local IP registry and the live-object
@@ -234,19 +230,15 @@ class RtlValidationShard:
 
     @property
     def inline_only(self) -> bool:
-        # An opaque drive callable never leaves the parent, even when a
-        # rebuild recipe would make the rest of the payload picklable.
-        return self.rebuild is None or self.drive is not None
+        return self.rebuild is None
 
     def run(self) -> "list[RtlMutantOutcome]":
         augmented = self.augmented
         if augmented is None:
             augmented = _rebuilt_augmented(self.rebuild, self.exec_mode)
-        drive = self.drive
-        if drive is None:
-            drive = _stimulus_driver(
-                augmented, list(self.stimuli), self.recovery_value
-            )
+        drive = _stimulus_driver(
+            augmented, list(self.stimuli), self.recovery_value
+        )
         return [
             _run_rtl_mutant(
                 augmented, index, spec, drive, self.cycles, self.exec_mode
@@ -305,8 +297,7 @@ def prepare_rtl_validation(
     augmented: AugmentedIP,
     mutants: "list[MutantSpec]",
     *,
-    stimuli=None,
-    drive=None,
+    stimuli,
     cycles: int = 24,
     ip_name: str = "ip",
     exec_mode: str = "compiled",
@@ -318,13 +309,11 @@ def prepare_rtl_validation(
 ) -> PreparedRtlValidation:
     """Lower an RTL validation to schedulable shards.
 
-    Exactly one of ``stimuli`` (declarative per-cycle input vectors --
-    shardable across processes and cacheable) or ``drive`` (an opaque
-    ``drive(sim, cycle_index)`` callable -- inline-only, cache
-    bypassed) must be given.  ``rebuild`` names a registered case
-    study whose augmentation the workers reconstruct instead of
-    pickling ``augmented``; without it, shards carry the live object
-    and execute in the parent.
+    ``stimuli`` are the per-cycle input vectors, re-presented as
+    ``stimuli[i % len(stimuli)]`` each cycle.  ``rebuild`` names a
+    registered case study whose augmentation the workers reconstruct
+    instead of pickling ``augmented``; without it, shards carry the
+    live object and execute in the parent.
 
     Contract: when ``rebuild`` is set, ``augmented`` must be *exactly*
     the registry build of that IP (derive the name via
@@ -334,15 +323,13 @@ def prepare_rtl_validation(
     the registry design while inline shards simulate yours -- a report
     mixing two designs, cached under the wrong fingerprint.
     """
-    if (stimuli is None) == (drive is None):
-        raise ValueError("pass exactly one of stimuli= or drive=")
     specs = tuple(mutants)
 
     cached_outcomes: "list[RtlMutantOutcome]" = []
     cache_keys = None
     hits = misses = None
     miss_indices = list(range(len(specs)))
-    if cache is not None and stimuli is not None:
+    if cache is not None:
         from .cache import (
             decode_rtl_outcome,
             rtl_entry_key,
@@ -379,10 +366,9 @@ def prepare_rtl_validation(
             cycles=cycles,
             exec_mode=exec_mode,
             recovery_value=recovery_value,
-            stimuli=tuple(stimuli) if stimuli is not None else None,
+            stimuli=tuple(stimuli),
             rebuild=recipe,
             augmented=None if recipe else augmented,
-            drive=drive,
         )
         for indices in _shard_sequence(miss_indices, workers, shard_size)
     )
@@ -401,9 +387,8 @@ def prepare_rtl_validation(
 def validate_at_rtl(
     augmented: AugmentedIP,
     mutants: "list[MutantSpec]",
-    drive=None,
     *,
-    stimuli=None,
+    stimuli,
     cycles: int = 24,
     ip_name: str = "ip",
     exec_mode: str = "compiled",
@@ -419,15 +404,10 @@ def validate_at_rtl(
     Args:
         augmented: the sensor-augmented design under validation.
         mutants: the TLM campaign's :class:`MutantSpec` table.
-        drive: legacy ``drive(sim, cycle_index)`` testbench callable
-            (one full cycle: poke inputs, advance the clock).  Opaque,
-            so it forces inline execution and bypasses the cache;
-            prefer ``stimuli``.
-        stimuli: declarative per-cycle ``name -> int`` input vectors
-            (the same form the TLM campaign consumes); the canonical
-            driver re-presents ``stimuli[i % len(stimuli)]`` each
-            cycle, with the Razor recovery enable poked to
-            ``recovery_value``.
+        stimuli: per-cycle ``name -> int`` input vectors (the same
+            form the TLM campaign consumes); the driver re-presents
+            ``stimuli[i % len(stimuli)]`` each cycle, with the Razor
+            recovery enable poked to ``recovery_value``.
         cycles: testbench cycles per mutant.
         exec_mode: kernel execution mode (compiled closures by
             default; per-process compilation is memoised, so each
@@ -444,7 +424,7 @@ def validate_at_rtl(
             campaign's :class:`CampaignScheduler` to run the RTL
             shards on the same pool.
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
-            verdicts replay instantly (``stimuli`` form only).
+            verdicts replay instantly.
 
     Returns:
         An :class:`RtlValidationReport` with outcomes in mutant-table
@@ -462,7 +442,6 @@ def validate_at_rtl(
         augmented,
         mutants,
         stimuli=stimuli,
-        drive=drive,
         cycles=cycles,
         ip_name=ip_name,
         exec_mode=exec_mode,

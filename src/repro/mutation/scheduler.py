@@ -375,7 +375,6 @@ def iter_campaign(
     tap_order: "list[str] | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     scheduler: "ShardPlacement | None" = None,
     progress=None,
     abort: "AbortPolicy | None" = None,
@@ -418,7 +417,6 @@ def iter_campaign(
         tap_order=tap_order,
         workers=workers if scheduler is None else scheduler.workers,
         shard_size=shard_size,
-        batch_size=batch_size,
         cache=cache,
         prune_plan=prune_plan,
     )
@@ -528,7 +526,6 @@ def run_benchmark_suite(
     *,
     workers: int = 4,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     mutation_cycles: "int | None" = None,
     scheduler: "ShardPlacement | None" = None,
     progress=None,
@@ -547,10 +544,6 @@ def run_benchmark_suite(
         sensor_types: the sensor variants to cover (default both).
         workers: pool width when no ``scheduler`` is passed.
         shard_size: overrides the one-shard-per-worker batching.
-        batch_size: execute every TLM shard as batched multi-mutant
-            sweeps of this many mutants
-            (:mod:`repro.mutation.batched`); reports stay
-            field-identical to the serial default.
         mutation_cycles: overrides each IP's testbench length.
         scheduler: a :class:`CampaignScheduler` owning the shared pool
             (its ``workers`` takes precedence).
@@ -642,7 +635,6 @@ def run_benchmark_suite(
                     ip_name=spec.name,
                     sensor_type=sensor,
                     shard_size=shard_size,
-                    batch_size=batch_size,
                     scheduler=sched,
                     progress=progress,
                     cache=cache,

@@ -6,9 +6,9 @@ the harness itself (see ``docs/observability.md``):
 
 * :mod:`repro.obs.tracer` -- a span-based tracer instrumenting every
   layer (flow, campaign preparation, golden simulation, scheduler
-  streaming, shard execution, cache, fleet dispatch, batched-sweep
-  fork/early-kill/re-join), exportable as Chrome/Perfetto
-  ``trace.json`` via ``repro trace``;
+  streaming, shard execution, per-mutant runs, cache, fleet
+  dispatch), exportable as Chrome/Perfetto ``trace.json`` via
+  ``repro trace``;
 * :mod:`repro.obs.metrics` -- a process-local counters / gauges /
   histograms registry served as Prometheus text on ``GET /metrics``
   and summarised by ``repro top`` / ``repro status --server``;
@@ -29,7 +29,6 @@ from .tracer import (
     active_capture,
     shard_capture,
     shard_count,
-    shard_instant,
     shard_span,
     trace_instant,
     trace_span,
@@ -47,7 +46,6 @@ __all__ = [
     "metadata_wall_clock",
     "shard_capture",
     "shard_count",
-    "shard_instant",
     "shard_span",
     "trace_instant",
     "trace_span",

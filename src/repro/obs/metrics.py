@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` (:data:`REGISTRY`) per process collects
 counters, gauges and histograms from every layer -- cache hits, pool
-rebuilds, fleet re-dispatches, batched-sweep forks -- and renders
-them:
+rebuilds, fleet re-dispatches, executed shards and mutants -- and
+renders them:
 
 * :meth:`MetricsRegistry.render` -- the Prometheus text format served
   by ``GET /metrics`` (``# HELP`` / ``# TYPE`` lines, histogram
@@ -64,13 +64,6 @@ _HELP = {
         "Fleet members evicted by the heartbeat monitor",
     "repro_fleet_cache_strip_hits_total":
         "Mutants stripped from a dispatch by a cache probe",
-    "repro_batch_forks_total":
-        "Mutant simulations forked off a batched base sweep",
-    "repro_batch_early_kills_total":
-        "Batched mutants whose verdict settled before the testbench "
-        "ended",
-    "repro_batch_rejoins_total":
-        "Forked counter-sweep mutants re-joined to the base simulation",
     "repro_jobs_total": "Service jobs reaching a terminal status",
     "repro_shard_seconds": "Shard execution wall time (seconds)",
     "repro_inflight_shards": "Shards currently executing",
@@ -233,9 +226,6 @@ REGISTRY = MetricsRegistry()
 _SHARD_COUNTER_SERIES = {
     "shards": "repro_shards_executed_total",
     "mutants": "repro_mutants_executed_total",
-    "batch_forks": "repro_batch_forks_total",
-    "batch_early_kills": "repro_batch_early_kills_total",
-    "batch_rejoins": "repro_batch_rejoins_total",
 }
 
 

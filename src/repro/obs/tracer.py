@@ -213,17 +213,15 @@ class Tracer:
                 self._workers[worker] = pid
         base = {**self.current_attrs(), **attrs}
         for span in spans:
-            event = {
+            self._record({
                 "name": span.get("name", "span"),
-                "ph": span.get("ph", "X"),
+                "ph": "X",
                 "ts": anchor + float(span.get("start_s", 0.0)),
+                "dur": float(span.get("dur_s", 0.0)),
                 "pid": pid,
                 "tid": 1,
                 "args": {**base, **(span.get("args") or {})},
-            }
-            if event["ph"] == "X":
-                event["dur"] = float(span.get("dur_s", 0.0))
-            self._record(event)
+            })
 
     # -- export ------------------------------------------------------------
 
@@ -321,14 +319,6 @@ class ShardCapture:
                 "args": args,
             })
 
-    def instant(self, name: str, **args) -> None:
-        self.spans.append({
-            "name": name,
-            "ph": "i",
-            "start_s": time.perf_counter() - self._t0,
-            "args": args,
-        })
-
     def payload(self) -> dict:
         """The JSON-safe dict carried home inside the shard result."""
         return {
@@ -371,14 +361,6 @@ def shard_span(name: str, **args):
     if capture is None or not capture.spans_enabled:
         return _NULL
     return capture.span(name, **args)
-
-
-def shard_instant(name: str, **args) -> None:
-    """A relative-offset instant on the active capture (no-op unless
-    spans are enabled)."""
-    capture = active_capture()
-    if capture is not None and capture.spans_enabled:
-        capture.instant(name, **args)
 
 
 # ---------------------------------------------------------------------------

@@ -708,73 +708,3 @@ class Simulation:
             if each is not None:
                 each(self, i)
             self.cycle()
-
-    # ------------------------------------------------------------------
-    # State snapshot / restore (batched mutant sweeps)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Cheap copy of the committed simulation state.
-
-        Captures only the *data planes* -- signal values, array words,
-        clock phases, time, pending/delayed write buffers and native
-        process state -- never the elaborated structures (runner
-        closures, wake masks, sensitivity maps), which are immutable
-        after construction and shared by every fork.  ``LV`` values are
-        immutable, so the planes shallow-copy.
-
-        The returned dict feeds :meth:`restore_state` on *this*
-        simulation; the pair is what lets a batched mutant sweep
-        (:mod:`repro.mutation.batched`) rewind one kernel to a cycle
-        boundary instead of re-simulating from reset.
-        """
-        return {
-            "time": self.time,
-            "seq": self._seq,
-            "values": dict(self._values),
-            "arrays": {arr: list(words) for arr, words in self._arrays.items()},
-            "clocks": [
-                (clk.next_toggle, clk.value) for clk in self._clock_list
-            ],
-            "pending_nba": dict(self._pending_nba),
-            "pending_native": dict(self._pending_native),
-            "pending_arrays": list(self._pending_arrays),
-            "delayed": list(self._delayed),
-            "native_state": {
-                key: dict(state)
-                for key, state in self._native_state.items()
-            },
-            "cycles": self.stats["cycles"],
-        }
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Rewind this simulation to a :meth:`snapshot_state` capture.
-
-        The value stores are mutated *in place* (``clear`` +
-        ``update``): every compiled runner closure binds the
-        ``_values`` / ``_arrays`` / pending containers by identity at
-        elaboration, so rebinding the attributes would silently
-        disconnect the runners from the restored state.
-        """
-        self.time = snapshot["time"]
-        self._seq = snapshot["seq"]
-        self._values.clear()
-        self._values.update(snapshot["values"])
-        for arr, words in snapshot["arrays"].items():
-            self._arrays[arr][:] = words
-        for clk, (next_toggle, value) in zip(
-            self._clock_list, snapshot["clocks"]
-        ):
-            clk.next_toggle = next_toggle
-            clk.value = value
-        self._pending_nba.clear()
-        self._pending_nba.update(snapshot["pending_nba"])
-        self._pending_native.clear()
-        self._pending_native.update(snapshot["pending_native"])
-        self._pending_arrays[:] = snapshot["pending_arrays"]
-        self._delayed[:] = snapshot["delayed"]
-        for key, state in snapshot["native_state"].items():
-            store = self._native_state[key]
-            store.clear()
-            store.update(state)
-        self.stats["cycles"] = snapshot["cycles"]

@@ -183,8 +183,6 @@ def encode_shard(shard) -> dict:
         "sensor_type": shard.sensor_type,
         "recovery": shard.recovery,
         "tap_order": list(shard.tap_order),
-        "exec_strategy": shard.exec_strategy,
-        "batch_size": shard.batch_size,
         "trace": shard.trace,
     }
 
@@ -206,10 +204,8 @@ def decode_shard(payload: dict):
         sensor_type=payload["sensor_type"],
         recovery=payload["recovery"],
         tap_order=tuple(payload["tap_order"]),
-        # Older coordinators omit the batching/tracing fields: default
-        # to the serial, untraced path they expect.
-        exec_strategy=payload.get("exec_strategy", "serial"),
-        batch_size=payload.get("batch_size"),
+        # Older coordinators omit the tracing field: default to the
+        # untraced path they expect.
         trace=payload.get("trace", False),
     )
 

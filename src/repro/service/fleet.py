@@ -52,6 +52,7 @@ that, including mid-campaign worker kill and re-dispatch.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import threading
@@ -65,7 +66,7 @@ from repro.mutation import (
     SupervisedFuture,
 )
 from repro.mutation.cache import decode_outcome, encode_outcome
-from repro.mutation.campaign import CampaignShard, ShardResult, _run_shard
+from repro.mutation.campaign import ShardResult, _run_shard
 from repro.obs import REGISTRY, TRACER
 
 from . import api
@@ -75,26 +76,6 @@ __all__ = [
     "RemoteWorkerPlacement",
     "WorkerCore",
 ]
-
-
-def _shard_subset(shard: CampaignShard, indices) -> CampaignShard:
-    """The same shard narrowed to ``indices`` (after a cache probe
-    stripped the known mutants).  Execution knobs travel with it:
-    dropping ``exec_strategy``/``batch_size`` would silently demote a
-    batched remainder to serial, and dropping ``trace`` would lose the
-    worker-side spans of every cache-narrowed shard."""
-    return CampaignShard(
-        indices=tuple(indices),
-        injected=shard.injected,
-        stimuli=shard.stimuli,
-        golden=shard.golden,
-        sensor_type=shard.sensor_type,
-        recovery=shard.recovery,
-        tap_order=shard.tap_order,
-        exec_strategy=shard.exec_strategy,
-        batch_size=shard.batch_size,
-        trace=shard.trace,
-    )
 
 
 def _probe_shard(cache, shard):
@@ -114,7 +95,10 @@ def _probe_shard(cache, shard):
             missing.append(index)
         else:
             replayed.append(decode_outcome(payload, index))
-    remainder = _shard_subset(shard, missing) if missing else None
+    remainder = (
+        dataclasses.replace(shard, indices=tuple(missing))
+        if missing else None
+    )
     return replayed, remainder, keys
 
 

@@ -530,7 +530,6 @@ class CampaignService:
                     recovery=spec.recovery,
                     workers=self.fleet.workers,
                     shard_size=spec.shard_size,
-                    batch_size=spec.batch_size,
                     cache=self.cache,
                 )
                 abort = _JobAbort(spec.abort_policy(), cancel)

@@ -305,23 +305,6 @@ class TestRtlValidationCache:
         assert baseline == cold == warm
         assert baseline.risen_pct == 100.0
 
-    def test_stimuli_path_matches_legacy_drive(self):
-        aug = augment("counter")
-        injected = inject_mutants(aug)
-        stim = stimulus(15)
-        din = next(p for p in aug.module.inputs() if p.name == "din")
-        en = next(p for p in aug.module.inputs() if p.name == "en")
-
-        def drive(sim, i):
-            vec = stim[i % len(stim)]
-            sim.cycle({din: vec["din"], en: vec["en"]})
-
-        legacy = validate_at_rtl(aug, injected.mutants, drive, cycles=15)
-        declarative = validate_at_rtl(
-            aug, injected.mutants, stimuli=stim, cycles=15
-        )
-        assert legacy == declarative
-
     def test_cycle_count_is_part_of_the_key(self):
         aug = augment("razor")
         injected = inject_mutants(aug)

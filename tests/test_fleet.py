@@ -29,6 +29,8 @@ from repro.service import (
     decode_report,
 )
 
+from service_helpers import hold_jobs_until_watched
+
 REDUCED_CYCLES = 24
 
 
@@ -329,14 +331,12 @@ class TestClientRetries:
                                                 dsp_razor_baseline):
         """Reconnect against a *running* job: each connection dies
         after two events; the reassembled stream still carries every
-        shard outcome exactly once."""
-        with _server(flows, seed=[("dsp", "razor")],
-                     max_jobs=1) as server:
+        shard outcome exactly once.  The job starts only once the
+        first connection has subscribed."""
+        with _server(flows, seed=[("dsp", "razor")]) as server:
+            hold_jobs_until_watched(server.service)
             client = _client(server, retries=10)
             client._sleep = lambda seconds: None
-            cycles = case_study("filter").mutation_cycles
-            blocker = client.submit({"ip": "filter", "sensor": "razor",
-                                     "cycles": cycles, "shard_size": 1})
             record = client.submit({"ip": "dsp", "sensor": "razor",
                                     "cycles": REDUCED_CYCLES,
                                     "shard_size": 2})
@@ -359,7 +359,6 @@ class TestClientRetries:
                 )
             )
             collector.start()
-            _client(server).cancel(blocker["id"])
             collector.join(timeout=120)
             assert not collector.is_alive()
             assert events[-1]["type"] == "end"

@@ -8,16 +8,15 @@ Acceptance contract:
   :func:`repro.obs.validate_chrome_trace`;
 * tracing changes **nothing** about campaign results: reports run
   with the tracer on compare field-for-field equal to reports run
-  with it off (the full IP x sensor x workers x batch sweep is gated
-  in ``benchmarks/bench_obs.py``; a smoke slice runs here);
+  with it off (the full IP x sensor x workers sweep is gated in
+  ``benchmarks/bench_obs.py``; a smoke slice runs here);
 * the metrics registry renders valid Prometheus text with at least
   10 well-known series, and ``GET /metrics`` serves it raw;
 * ``GET /healthz`` carries the compact metrics snapshot (per-worker
   shards/sec, in-flight, cache hit ratio) behind
   ``repro status --server`` / ``repro top``;
-* ``/events`` progress events stay monotonic under the batched
-  executor and every mutant -- early-killed included -- is counted
-  exactly once;
+* ``/events`` progress events stay monotonic and every mutant is
+  counted exactly once;
 * ``GET /jobs/<id>/trace`` 404s while tracing is off and exports a
   valid, job-filtered Chrome trace when the server runs with
   ``--trace``.
@@ -51,6 +50,8 @@ from repro.service import (
     ServiceServer,
     decode_report,
 )
+
+from service_helpers import hold_jobs_until_watched
 
 REDUCED_CYCLES = 24
 
@@ -253,14 +254,16 @@ class TestMetricsRegistry:
     def test_absorb_shard_counters_maps_to_series(self):
         reg = MetricsRegistry()
         raw = absorb_shard_counters(
-            {"counters": {"shards": 1, "mutants": 4, "batch_forks": 2},
+            {"counters": {"shards": 1, "mutants": 4, "unmapped": 2},
              "elapsed_s": 0.5},
             registry=reg,
         )
-        assert raw == {"shards": 1, "mutants": 4, "batch_forks": 2}
+        assert raw == {"shards": 1, "mutants": 4, "unmapped": 2}
         assert reg.counter_value("repro_shards_executed_total") == 1
         assert reg.counter_value("repro_mutants_executed_total") == 4
-        assert reg.counter_value("repro_batch_forks_total") == 2
+        # A capture counter without a registry series is returned for
+        # per-campaign aggregation but exported nowhere.
+        assert "unmapped" not in reg.render()
         snap = reg.snapshot()
         assert snap["histograms"]["repro_shard_seconds"]["count"] == 1
         assert absorb_shard_counters(None, registry=reg) == {}
@@ -271,11 +274,11 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 
 class TestTracingFieldIdentity:
-    @pytest.mark.parametrize("batch_size", [None, 3])
-    def test_report_identical_with_tracing_on(self, flow, batch_size):
-        baseline = _campaign(flow, workers=1, batch_size=batch_size)
+    @pytest.mark.parametrize("shard_size", [None, 3])
+    def test_report_identical_with_tracing_on(self, flow, shard_size):
+        baseline = _campaign(flow, workers=1, shard_size=shard_size)
         TRACER.enable()
-        traced = _campaign(flow, workers=1, batch_size=batch_size)
+        traced = _campaign(flow, workers=1, shard_size=shard_size)
         TRACER.disable()
         assert traced == baseline            # dataclass eq: scored fields
         assert traced.outcomes == baseline.outcomes
@@ -361,19 +364,15 @@ class TestServiceMetricsEndpoints:
                                 "cache_hit_ratio"}
 
 
-class TestBatchedProgressEvents:
+class TestStreamedProgressEvents:
     def test_progress_monotonic_and_each_mutant_counted_once(self, flow):
-        """Satellite: /events under the batched executor.  Submit with
-        batch_size=3 (forks + early-kills happen at this testbench
-        length), attach before the job runs, and check the stream's
-        accounting."""
-        cycles = case_study("filter").mutation_cycles
-        with _server(flow, max_jobs=1) as server:
+        """/events accounting over a multi-shard job.  The job starts
+        only once the collector has subscribed, so the stream always
+        carries its live progress events."""
+        with _server(flow) as server:
+            hold_jobs_until_watched(server.service)
             client = _client(server)
-            blocker = client.submit({"ip": "filter", "sensor": "razor",
-                                     "cycles": cycles, "shard_size": 1})
-            record = client.submit({**SPEC, "shard_size": 4,
-                                    "batch_size": 3})
+            record = client.submit({**SPEC, "shard_size": 4})
             events = []
             collector = threading.Thread(
                 target=lambda: events.extend(
@@ -381,7 +380,6 @@ class TestBatchedProgressEvents:
                 )
             )
             collector.start()
-            _client(server).cancel(blocker["id"])
             collector.join(timeout=120)
             assert not collector.is_alive()
             end = events[-1]
@@ -393,17 +391,15 @@ class TestBatchedProgressEvents:
                      if e["type"] == "progress"]
             assert dones == sorted(dones)
             assert dones[-1] == total
-            # Every mutant -- early-killed included -- exactly once.
+            # Every mutant exactly once.
             indices = sorted(
                 o["index"]
                 for e in events if e["type"] == "shard"
                 for o in e["outcomes"]
             )
             assert indices == list(range(total))
-            # And batched equals serial through the service.
-            serial = client.submit(dict(SPEC))
-            serial_end = client.watch(serial["id"])
-            assert decode_report(serial_end["report"]) == report
+        # And the streamed report equals a direct campaign.
+        assert _campaign(flow, workers=1) == report
 
 
 class TestTraceEndpoint:
@@ -427,7 +423,7 @@ class TestTraceEndpoint:
             client = _client(server)
             first = client.submit(dict(SPEC))
             client.watch(first["id"])
-            second = client.submit({**SPEC, "batch_size": 3})
+            second = client.submit(dict(SPEC))
             second_end = client.watch(second["id"])
             payload = client.trace(second["id"])
             assert validate_chrome_trace(payload) == []
@@ -438,5 +434,5 @@ class TestTraceEndpoint:
             # Job filtering: nothing from the first job leaks in.
             assert all(e["args"]["job"] == second["id"]
                        for e in events if e["ph"] != "M")
-            # Tracing did not perturb the batched report either.
+            # Tracing did not perturb the report either.
             assert decode_report(second_end["report"]).total > 0

@@ -35,7 +35,10 @@ from repro.service import (
     decode_report,
     encode_report,
 )
+from repro.service import server as server_module
 from repro.service.client import ServiceError
+
+from service_helpers import hold_jobs_until_watched
 
 #: Shortened testbench shared with tests/test_scheduler.py: equality
 #: of the streamed and direct reports is what matters here, not the
@@ -92,25 +95,26 @@ def _server(flows, *, seed_all=False, **kwargs):
     return ServiceServer(service)
 
 
-def _hold_jobs_until_watched(service, timeout=60.0):
-    """Start each job only once a client has subscribed to its event
-    stream.  A job that finishes before its watcher attaches leaves
-    only the collapsed terminal event, so without this hold whether a
-    stream shows live progress depends on how fast the job runs."""
-    watched: "dict[str, threading.Event]" = {}
-    subscribe, run_job = service.subscribe, service._run_job
+def _pause_first_job_until_cancelled(monkeypatch, timeout=60.0):
+    """Hold the first job to stream, right after its first outcome
+    batch, until its ``DELETE`` lands.  A cancel sent on that job's
+    first shard event then always arrives mid-stream instead of racing
+    the job's end; later jobs stream unpaused."""
+    stream = server_module.stream_shard_batches
+    paused = threading.Event()
 
-    def subscribe_and_release(job_id):
-        subscription = subscribe(job_id)
-        watched.setdefault(job_id, threading.Event()).set()
-        return subscription
+    def paused_stream(placement, prepared, *, abort, **kwargs):
+        first = not paused.is_set()
+        paused.set()
+        for position, item in enumerate(
+            stream(placement, prepared, abort=abort, **kwargs)
+        ):
+            yield item
+            if first and position == 0:
+                abort._cancel.wait(timeout)
 
-    def run_once_watched(record):
-        watched.setdefault(record.id, threading.Event()).wait(timeout)
-        run_job(record)
-
-    service.subscribe = subscribe_and_release
-    service._run_job = run_once_watched
+    monkeypatch.setattr(server_module, "stream_shard_batches",
+                        paused_stream)
 
 
 def _client(server, **kw):
@@ -186,6 +190,23 @@ class TestJobStore:
         (tmp_path / "state" / "jobs" / "bad.json").write_text("{torn")
         assert [r.id for r in store.load_all()] == ["ok1"]
 
+    def test_record_with_retired_spec_field_still_loads(self, tmp_path):
+        """A record saved while the batched executor's sweep width was
+        still a spec field keeps its job, and its report, across a
+        restart."""
+        store = JobStore(tmp_path / "state")
+        record = JobRecord(
+            id="old1", spec=JobSpec(ip="dsp", sensor="razor"),
+            status="done", created=1.0, report={"ip_name": "dsp"},
+        )
+        store.save(record)
+        path = tmp_path / "state" / "jobs" / "old1.json"
+        stored = json.loads(path.read_text())
+        stored["spec"]["batch_size"] = 3
+        path.write_text(json.dumps(stored))
+        loaded = store.load_all()
+        assert [r.to_payload() for r in loaded] == [record.to_payload()]
+
     def test_memory_store_persists_nothing(self):
         store = JobStore(None)
         store.save(JobRecord(id="x", spec=JobSpec(ip="dsp",
@@ -212,14 +233,11 @@ class TestServiceRoundTrip:
                 baselines[("plasma", "razor")]
 
     def test_event_stream_shape(self, flows, baselines):
-        # max_jobs=1 plus a blocker job in front guarantees the
-        # subscriber attaches *before* the observed job runs, so the
+        # The job starts only once the subscriber has attached, so the
         # stream deterministically carries the complete live history.
-        cycles = case_study("filter").mutation_cycles
-        with _server(flows, max_jobs=1) as server:
+        with _server(flows) as server:
+            hold_jobs_until_watched(server.service)
             client = _client(server)
-            blocker = client.submit({"ip": "filter", "sensor": "razor",
-                                     "cycles": cycles, "shard_size": 1})
             record = client.submit({"ip": "dsp", "sensor": "razor",
                                     "cycles": REDUCED_CYCLES,
                                     "shard_size": 4})
@@ -228,7 +246,6 @@ class TestServiceRoundTrip:
                 target=lambda: events.extend(client.events(record["id"]))
             )
             collector.start()
-            _client(server).cancel(blocker["id"])
             collector.join(timeout=120)
             assert not collector.is_alive()
             kinds = [e["type"] for e in events]
@@ -248,7 +265,7 @@ class TestServiceRoundTrip:
         (here 6: every IP x sensor type), each receiving a report
         field-for-field equal to the direct run."""
         with _server(flows, seed_all=True, max_jobs=6) as server:
-            _hold_jobs_until_watched(server.service)
+            hold_jobs_until_watched(server.service)
             barrier = threading.Barrier(len(ALL_CAMPAIGNS))
             results = {}
             errors = []
@@ -332,6 +349,13 @@ class TestServiceRoundTrip:
                                         "cycels": 3})
             assert err.value.status == 400
 
+    def test_retired_spec_field_is_400(self, flows):
+        with _server(flows) as server:
+            with pytest.raises(ServiceError) as err:
+                _client(server).submit({"ip": "dsp", "sensor": "razor",
+                                        "batch_size": 3})
+            assert err.value.status == 400
+
     def test_unknown_job_is_404(self, flows):
         with _server(flows) as server:
             client = _client(server)
@@ -367,12 +391,14 @@ class TestServiceRoundTrip:
 # ----------------------------------------------------------------------
 
 class TestCancellation:
-    def test_mid_stream_delete_aborts_shard_granularly(self, flows):
+    def test_mid_stream_delete_aborts_shard_granularly(self, flows,
+                                                       monkeypatch):
         # Full-length filter campaign, one mutant per shard: plenty of
         # shard boundaries for the cancellation to land on.
         cycles = case_study("filter").mutation_cycles
+        _pause_first_job_until_cancelled(monkeypatch)
         with _server(flows) as server:
-            _hold_jobs_until_watched(server.service)
+            hold_jobs_until_watched(server.service)
             client = _client(server)
             record = client.submit({"ip": "filter", "sensor": "razor",
                                     "cycles": cycles, "shard_size": 1})
