@@ -100,13 +100,16 @@ def test_out_ok_threshold_boundary(once):
 
 def test_dual_clock_scheduler_wraps_hf_cycles(once):
     def _body():
-        """Fig. 8: one transaction advances the HF machinery ten ticks."""
+        """Fig. 8: one transaction covers the whole ten-tick HF window,
+        sampled event-driven (tick 1 only when no mutant is active)."""
         from repro.abstraction import generate_tlm
 
         m, clk, din, aug = build_scenario()
         gen = generate_tlm(m, variant="hdtlib", augmented=aug)
         assert gen.scheduler_kind == "dual"
-        assert "for _hf in range(1, 10 + 1)" in gen.source
+        assert "HF_RATIO = 10" in gen.source
+        assert "self._hf_tick(1)" in gen.source
+        assert "range(1, 10 + 1)" not in gen.source
         model = gen.instantiate()
         rtl = aug.make_simulation(input_launch_at_edge=True)
         dout_sig = m.find_signal("dout")

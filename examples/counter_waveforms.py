@@ -65,7 +65,7 @@ def main() -> None:
         sim.cycle({din2: 5})
     print(recorder.render(0, 3 * PERIOD, hf // 2))
     print("\n  one main-clock period == one TLM transaction; the ten "
-          "HF cycles inside it\n  become the inner loop of the "
+          "HF cycles inside it\n  form one event-driven window of the "
           "dual-clock scheduler (Fig. 8.b).")
 
 

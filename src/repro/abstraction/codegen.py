@@ -12,12 +12,14 @@ standalone Python class that reproduces the RTL scheduler:
   delta loop (Fig. 6.b); one ``scheduler()`` call == one TLM
   transaction == one RTL clock cycle;
 * for Counter-augmented IPs the **dual-clock scheduler** of Fig. 8.b
-  is emitted instead: the high-frequency clock becomes an inner loop
-  of ``hf_ratio`` iterations wrapped inside the same transaction;
+  is emitted instead: the ``hf_ratio`` high-frequency ticks are
+  wrapped inside the same transaction, event-driven -- the taps are
+  sampled only at tick 1 and at the active mutant's commit tick, the
+  only ticks at which they can change;
 * sensor banks (native processes at RTL) are emitted as dedicated
   scheduler phases preserving their semantics: the Razor main/shadow
   compare sits in the fall phase, the Counter transition capture in
-  the HF tick loop.
+  the HF tick phase.
 
 When ``inject_mutants`` is set, the ADAM transformation of Section 6
 is applied during generation: assignments to monitored signals are
@@ -544,7 +546,8 @@ class _Generator:
             out.emit(f"self._ct_r1_{i} = 0", 2)
             out.emit(f"self._ct_r2_{i} = 0", 2)
             out.emit(f"self._ct_seen_{i} = 0", 2)
-            out.emit(f"self._ct_pipe_{i} = [0, 0]", 2)
+            out.emit(f"self._ct_p0_{i} = 0", 2)
+            out.emit(f"self._ct_p1_{i} = 0", 2)
         out.emit("self._pending_inputs = None", 2)
         # Mutant state.
         if self.inject:
@@ -949,7 +952,7 @@ class _Generator:
             )
             index = getattr(tap, "cps_index", 0)
             if index == "parity":
-                out.emit(f"_cur = bin({value}).count('1') & 1", 2)
+                out.emit(f"_cur = ({value}).bit_count() & 1", 2)
             elif index:
                 out.emit(f"_cur = (({value}) >> {index}) & 1", 2)
             else:
@@ -971,24 +974,34 @@ class _Generator:
         out.emit("def _window_close(self):", 1)
         out.emit(
             '"""End of the observability window: select R1/R2 by the '
-            'latched CPS value, push through the measurement-latency '
-            'pipeline, compare against the LUT threshold."""',
+            'latched CPS value, push through the two-stage '
+            'measurement-latency pipeline, compare against the LUT '
+            'threshold."""',
             2,
         )
         out.emit("_wake = 0", 2)
+        # A count never exceeds the ratio, so the 8-bit MEAS_VAL
+        # saturation folds away whenever the ratio fits in it.
+        meas = "_meas" if self.hf_ratio <= 255 else "min(_meas, 255)"
         for i, tap in enumerate(self.counter_taps):
             meas_attr = self.namer.signal(tap.meas_val)
             ok_attr = self.namer.signal(tap.out_ok)
+            # R1/R2 are only written together with seen, so an unseen
+            # window has nothing to reset.
             out.emit(f"if self._ct_seen_{i}:", 2)
             out.emit(
                 f"_meas = self._ct_r1_{i} if self._ct_prev_{i} == 1 "
                 f"else self._ct_r2_{i}",
                 3,
             )
+            out.emit(f"self._ct_r1_{i} = 0", 3)
+            out.emit(f"self._ct_r2_{i} = 0", 3)
+            out.emit(f"self._ct_seen_{i} = 0", 3)
             out.emit("else:", 2)
             out.emit("_meas = 0", 3)
-            out.emit(f"self._ct_pipe_{i}.append(min(_meas, 255))", 2)
-            out.emit(f"_out = self._ct_pipe_{i}.pop(0)", 2)
+            out.emit(f"_out = self._ct_p0_{i}", 2)
+            out.emit(f"self._ct_p0_{i} = self._ct_p1_{i}", 2)
+            out.emit(f"self._ct_p1_{i} = {meas}", 2)
             out.emit(f"_mv = {backend.from_int('_out', 8)}", 2)
             out.emit(f"if self.{meas_attr} != _mv:", 2)
             out.emit(f"self.{meas_attr} = _mv", 3)
@@ -1004,9 +1017,6 @@ class _Generator:
             out.emit(f"self.{ok_attr} = _okv", 3)
             if self._wake_of(tap.out_ok):
                 out.emit(f"_wake |= {self._wake_of(tap.out_ok)}", 3)
-            out.emit(f"self._ct_r1_{i} = 0", 2)
-            out.emit(f"self._ct_r2_{i} = 0", 2)
-            out.emit(f"self._ct_seen_{i} = 0", 2)
         out.emit("return _wake", 2)
         out.emit("")
 
@@ -1047,24 +1057,30 @@ class _Generator:
         else:
             out.emit(
                 '"""One RTL main-clock cycle with the dual-clock '
-                'scheduler (Fig. 8.b): the high-frequency clock is an '
-                'inner loop wrapped into the same transaction; delta '
-                'mutants commit at their HF tick (Fig. 9.d)."""',
+                'scheduler (Fig. 8.b): the high-frequency window is '
+                'wrapped into the same transaction; delta mutants '
+                'commit at their HF tick (Fig. 9.d)."""',
                 2,
             )
             out.emit("_wake = self._sync_rise()", 2)
             out.emit("_wake |= self._apply_pending_inputs()", 2)
             out.emit("self._delta(_wake)", 2)
-            out.emit(f"for _hf in range(1, {self.hf_ratio} + 1):", 2)
+            out.emit(
+                "# Taps change only after the rise settle and at the "
+                "mutant's commit tick;", 2
+            )
+            out.emit(
+                "# every other HF tick would resample unchanged values.", 2
+            )
             if self.inject:
-                out.emit(
-                    "if self._mutant_target is not None and "
-                    "self._mutant_hf == _hf:",
-                    3,
-                )
-                out.emit("self._delta(self._apply_mutant())", 4)
-                out.emit("    ", 3)
-            out.emit("self._hf_tick(_hf)", 3)
+                out.emit("_hf = self._mutant_hf", 2)
+                out.emit("if _hf == 1:", 2)
+                out.emit("self._delta(self._apply_mutant())", 3)
+            out.emit("self._hf_tick(1)", 2)
+            if self.inject:
+                out.emit(f"if 1 < _hf <= {self.hf_ratio}:", 2)
+                out.emit("self._delta(self._apply_mutant())", 3)
+                out.emit("self._hf_tick(_hf)", 3)
             out.emit("_wake = self._window_close()", 2)
             out.emit("_wake |= self._sync_fall()", 2)
             out.emit("self._delta(_wake)", 2)

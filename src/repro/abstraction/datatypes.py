@@ -104,7 +104,7 @@ class IntBackend(Backend):
             if expr.op == "red_or":
                 return f"(1 if {a} else 0)"
             if expr.op == "red_xor":
-                return f"(bin({a}).count('1') & 1)"
+                return f"(({a}).bit_count() & 1)"
             raise AssertionError(expr.op)
         if isinstance(expr, Binop):
             a, b = self.emit(expr.a), self.emit(expr.b)

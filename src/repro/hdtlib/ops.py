@@ -146,7 +146,7 @@ def red_or(a: int, width: int) -> int:
 
 
 def red_xor(a: int, width: int) -> int:
-    return bin(a).count("1") & 1
+    return a.bit_count() & 1
 
 
 # -- structure ------------------------------------------------------------------

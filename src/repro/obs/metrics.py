@@ -33,6 +33,7 @@ import threading
 __all__ = [
     "REGISTRY",
     "MetricsRegistry",
+    "UNLABELLED_COUNTERS",
     "absorb_shard_counters",
 ]
 
@@ -70,6 +71,18 @@ _HELP = {
     "repro_uptime_seconds": "Seconds since this process enabled obs",
 }
 
+#: Declared counters that carry labels; they have no series to show
+#: before a first increment names one.
+_LABELLED_COUNTERS = frozenset({"repro_jobs_total"})
+
+#: Declared unlabelled counters: :meth:`MetricsRegistry.render` exports
+#: each at 0 until its first increment, so a scraper can tell "none
+#: yet" from "not exported".
+UNLABELLED_COUNTERS = tuple(
+    name for name in _HELP
+    if name.endswith("_total") and name not in _LABELLED_COUNTERS
+)
+
 _TYPE_COUNTER = "counter"
 _TYPE_GAUGE = "gauge"
 _TYPE_HISTOGRAM = "histogram"
@@ -93,7 +106,8 @@ def _key(name: str, labels: dict) -> "tuple[str, tuple]":
 
 class MetricsRegistry:
     """Thread-safe counters / gauges / histograms (see module
-    docstring).  Series register themselves on first touch."""
+    docstring).  Series register themselves on first touch; declared
+    unlabelled counters render at 0 before it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -165,9 +179,11 @@ class MetricsRegistry:
             return self._counters.get(_key(name, labels), 0.0)
 
     def render(self) -> str:
-        """The registry in Prometheus text exposition format."""
+        """The registry in Prometheus text exposition format; declared
+        unlabelled counters render at 0 until first incremented."""
         with self._lock:
-            counters = sorted(self._counters.items())
+            declared = {(name, ()): 0.0 for name in UNLABELLED_COUNTERS}
+            counters = sorted({**declared, **self._counters}.items())
             gauges = sorted(self._gauges.items())
             hists = sorted(self._hist.items())
         lines: "list[str]" = []

@@ -351,7 +351,7 @@ class LV:
         """XOR of all bits (1-bit result, ``X`` if any bit unknown)."""
         if self.unk:
             return ONEBIT[1]
-        return ONEBIT[(bin(self.value).count("1") & 1) << 1]
+        return ONEBIT[(self.value.bit_count() & 1) << 1]
 
     # ------------------------------------------------------------------
     # Arithmetic (contaminating semantics)

@@ -235,7 +235,7 @@ class ScLogicVector:
     def reduce_xor(self) -> "ScLogicVector":
         if self.unk:
             return ScLogicVector._make(1, 0, 1)
-        return ScLogicVector._make(1, bin(self.value).count("1") & 1, 0)
+        return ScLogicVector._make(1, self.value.bit_count() & 1, 0)
 
     # -- arithmetic (contaminating) ----------------------------------------------
 

@@ -140,7 +140,7 @@ def attach_counter_bank(
             extraction = red_xor(endpoint)
 
             def extract(lv, _w=endpoint.width):
-                return bin(lv.to_int_or(0)).count("1") & 1
+                return lv.to_int_or(0).bit_count() & 1
         else:
             chosen = min(int(chosen), endpoint.width - 1)
             extraction = endpoint[chosen]

@@ -23,3 +23,16 @@ def hold_jobs_until_watched(service, timeout=60.0):
     service.subscribe = subscribe_and_release
     service._run_job = run_once_watched
 
+
+
+def hold_jobs_until_cancelled(service, timeout=60.0):
+    """Start each job only once it has been cancelled, so a job that
+    only keeps the queue busy cannot finish before its cancel lands,
+    however fast it runs."""
+    run_job = service._run_job
+
+    def run_once_cancelled(record):
+        service._cancels[record.id].wait(timeout)
+        run_job(record)
+
+    service._run_job = run_once_cancelled

@@ -251,6 +251,26 @@ class TestMetricsRegistry:
         for name in _HELP:
             assert f"# HELP {name} " in text
 
+    def test_fresh_registry_exports_declared_counters_at_zero(self):
+        from repro.obs.metrics import UNLABELLED_COUNTERS, _HELP
+
+        assert "repro_cache_hits_total" in UNLABELLED_COUNTERS
+        assert "repro_jobs_total" not in UNLABELLED_COUNTERS
+        assert set(UNLABELLED_COUNTERS) <= set(_HELP)
+        text = MetricsRegistry().render()
+        lines = text.splitlines()
+        for name in UNLABELLED_COUNTERS:
+            assert f"# TYPE {name} counter" in lines
+            assert f"{name} 0" in lines
+        # Labelled counters have no series until one is named.
+        assert "repro_jobs_total" not in text
+        reg = MetricsRegistry()
+        reg.inc("repro_cache_hits_total", 2)
+        lines = reg.render().splitlines()
+        assert "repro_cache_hits_total 2" in lines
+        assert "repro_cache_hits_total 0" not in lines
+        assert "repro_cache_misses_total 0" in lines
+
     def test_absorb_shard_counters_maps_to_series(self):
         reg = MetricsRegistry()
         raw = absorb_shard_counters(

@@ -38,7 +38,10 @@ from repro.service import (
 from repro.service import server as server_module
 from repro.service.client import ServiceError
 
-from service_helpers import hold_jobs_until_watched
+from service_helpers import (
+    hold_jobs_until_cancelled,
+    hold_jobs_until_watched,
+)
 
 #: Shortened testbench shared with tests/test_scheduler.py: equality
 #: of the streamed and direct reports is what matters here, not the
@@ -434,10 +437,13 @@ class TestCancellation:
         assert code == 1
 
     def test_cancel_before_start_aborts_without_running(self, flows):
-        # max_jobs=1 and a long job in front keeps the victim queued
-        # long enough to cancel it before its thread picks it up.
+        # max_jobs=1 and a job in front keeps the victim queued; the
+        # blocker is held until its own cancel lands, so the victim is
+        # cancelled before its thread picks it up however fast the
+        # blocker's campaign would run.
         cycles = case_study("filter").mutation_cycles
         with _server(flows, max_jobs=1) as server:
+            hold_jobs_until_cancelled(server.service)
             client = _client(server)
             blocker = client.submit({"ip": "filter", "sensor": "razor",
                                      "cycles": cycles, "shard_size": 1})
