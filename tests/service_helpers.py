@@ -24,7 +24,6 @@ def hold_jobs_until_watched(service, timeout=60.0):
     service._run_job = run_once_watched
 
 
-
 def hold_jobs_until_cancelled(service, timeout=60.0):
     """Start each job only once it has been cancelled, so a job that
     only keeps the queue busy cannot finish before its cancel lands,

@@ -160,9 +160,10 @@ def test_meas_val_lockstep_with_rtl(build, hf_ratio):
     """Cycle by cycle, MEAS_VAL after TLM call i equals MEAS_VAL after
     RTL cycle i + 1: the transaction closes the HF window inside the
     call, the RTL registers commit it at the next rising edge.  The
-    first windows are skipped (the TLM's first sample has no
-    predecessor to compare against).  This pins the measurement
-    pipeline's latency, which per-mutant verdicts cannot see."""
+    start-up cycles are skipped: there a tap the RTL measures in an
+    early window can still read 0 in the TLM.  This pins the
+    measurement pipeline's latency, which per-mutant verdicts cannot
+    see."""
     augmented, stimuli = build(hf_ratio)
     golden = generate_tlm(
         augmented.module, variant="hdtlib", augmented=augmented
